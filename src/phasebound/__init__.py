@@ -4,8 +4,8 @@ The package computes quantum Cramer-Rao bounds on phase-sum and
 phase-difference estimation for passive (beam-splitter) and amplifying
 (two-mode-squeezer) interferometers fed with a coherent state and a
 squeezed vacuum, with photon loss handled through a gamma-indexed
-family of Kraus decompositions whose tightest member is found either
-analytically or by direct minimization.
+family of Kraus decompositions whose tightest member is found in
+closed form.
 """
 
 from .errors import (
@@ -33,7 +33,6 @@ from .optimizer import (
     SingleArm,
     TwoArmIndependent,
     TwoArmSymmetric,
-    minimize_scalar,
     optimize_gamma,
 )
 from .qfim_ideal import (
@@ -96,7 +95,6 @@ __all__ = [
     "high_loss_two_arm",
     "lbs_moments",
     "limit_bound_single",
-    "minimize_scalar",
     "nbs_moments",
     "optimal_bound_single",
     "optimize_gamma",

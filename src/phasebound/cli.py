@@ -304,11 +304,8 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
             stats, family, target, mode=EstimationMode.SINGLE_PARAMETER
         )
         gamma_numeric = res_two.argmin
-        if isinstance(res_two.argmin, tuple):
-            gamma_a, gamma_b = res_two.argmin
-        else:
-            gamma_a = gamma_b = res_two.argmin
-        fm = c_matrix_two(stats, TwoArmLoss(eta_a, eta_b, gamma_a, gamma_b))
+        pair = res_two.argmin if isinstance(res_two.argmin, tuple) else (res_two.argmin,) * 2
+        fm = c_matrix_two(stats, TwoArmLoss(eta_a, eta_b, *pair))
         info_single, info_two = res_single.minimum, res_two.minimum
         delta = overestimation(fm, target)
 
@@ -334,7 +331,7 @@ def _guarded_record(spec: ScanSpec, swept_value: float) -> dict:
     # row-local containment: one bad point must not kill the sweep
     try:
         return point_record(spec, swept_value)
-    except Exception as exc:
+    except (PhaseboundError, ConfigError, ValueError) as exc:
         row = {key: None for key in CSV_COLUMNS}
         row["swept_value"] = swept_value
         row["error"] = f"{type(exc).__name__}: {exc}"

@@ -31,7 +31,7 @@ class CutoffTooSmall(PhaseboundError):
 
 
 class NonFiniteObjective(PhaseboundError):
-    """The scalar minimizer evaluated the objective to NaN or infinity."""
+    """The gamma optimizer evaluated a bound to NaN or infinity."""
 
 
 class AssumptionViolation(PhaseboundError, UserWarning):

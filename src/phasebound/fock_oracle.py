@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import CutoffTooSmall
 from .moments import ModeStatistics, SplitterKind, SplitterSpec
@@ -97,6 +95,8 @@ def prepare_input(alpha_mag: float, squeeze_r: float, cutoff: int) -> TruncatedS
 def _generator(cutoff: int, kind: SplitterKind, angle: float) -> csr_matrix:
     """i*angle*(a†b + ab†) for the passive splitter, i*angle*(a†b† + ab)
     for the amplifier, as a sparse matrix on the flattened grid."""
+    from scipy.sparse import coo_matrix, csr_matrix  # here, so the CLI starts without scipy
+
     d = cutoff + 1
     na, nb = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     if kind is SplitterKind.LBS:
@@ -120,6 +120,8 @@ def _generator(cutoff: int, kind: SplitterKind, angle: float) -> csr_matrix:
 
 
 def _evolve(amplitudes: np.ndarray, kind: SplitterKind, angle: float) -> np.ndarray:
+    from scipy.sparse.linalg import expm_multiply
+
     d = amplitudes.shape[0]
     gen = _generator(d - 1, kind, angle)
     return expm_multiply(gen, amplitudes.reshape(-1)).reshape(d, d)

@@ -1,34 +1,56 @@
-"""Scalar minimization over the loss-distribution parameter gamma.
+"""Exact minimization over the loss-distribution parameter gamma.
 
-Every gamma gives a valid information bound, so the reportable number
-is the minimum over gamma. The objectives are smooth rationals in
-gamma but can develop a second basin near the domain edges at extreme
-transmission, so refinement is preceded by a coarse bracketing scan.
+Every gamma gives a valid bound (Escher, de Matos Filho and Davidovich,
+Nat. Phys. 7, 406 (2011)), so the reportable number is the global minimum
+over gamma. It is found in closed form, without a search, and reported as
+the matrix-path bound at the argmin.
 
-The production entry point is :func:`optimize_gamma`; the bare
-:func:`minimize_scalar` is exposed because the tests use it as the
-oracle for the analytic optima.
+The Schur bound diag - f_pm**2/comp of a PSD 2x2 C is min_t v^T C v with
+v = e_target + t e_other. With w = (1 + t, 1 - t) for the phase sum or
+(1 + t, t - 1) for the difference, u_i = 1 - (gamma_i + 1)(1 - eta_i) as in
+``c_matrix_two`` and z = (w_a u_a, w_b u_b), v^T C(gamma) v is
+z^T V z + (w - z)^T D (w - z), V = [[var_a, cov], [cov, var_b]] and
+D = diag(eta_i <n_i>/(1 - eta_i)).
+
+Independent arms (one-arm loss is eta_b = 1): each gamma_i moves z_i
+freely, so the minimum is w^T M w with M = V (I + K V)^-1, K = D^-1: each
+variance combines in parallel with eta <n>/(1 - eta), Escher's single-mode
+result for correlated arms. The ideal kernel (``qfim_matrix``,
+``two_param_bound``) on M gives the least bound, and its diagonal the least
+single-parameter information. The argmin follows from t* = -F_pm/F_comp
+(0 for one parameter), z = (I + K V)^-1 w and
+gamma_i = (1 - z_i/w_i)/(1 - eta_i) - 1, computed without inverting V or D.
+A free gamma_i (eta_i = 1, or w_i = 0) is reported as 0; an arm without
+variance takes gamma_i = -1 (u_i = 1).
+
+Symmetric arms: z = u w, so the form is u**2 S + (1 - u)**2 L/(1 - eta)
+with S = w^T V w and L = eta (<n_a> w_a**2 + <n_b> w_b**2), least at
+u = L/((1 - eta) S + L) in [0, 1] with value g = S L/((1 - eta) S + L).
+S and L are quadratics in t with vertices t_S and t_L; dg/dt has the sign
+of the quintic (1 - eta) L'' (t - t_L) S**2 + S'' (t - t_S) L**2, negative
+below both vertices and positive above, so the minima lie between them,
+among the quintic's roots, isolated between those of its derivatives.
+One parameter means t = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
-from .errors import NonFiniteObjective
+from .errors import NonFiniteObjective, SingularComplement
 from .moments import ModeStatistics
-from .qfim_ideal import EstimationMode, FisherMatrix, Target, two_param_bound
+from .qfim_ideal import EstimationMode, FisherMatrix, Target, qfim_matrix, two_param_bound
 from .qfim_lossy import SingleArmLoss, TwoArmLoss, c_matrix_single, c_matrix_two
 
-_COARSE_POINTS = 129
-_EVAL_BUDGET = 10_000
-_GAMMA_LO, _GAMMA_HI = -1.5, 0.5
-# widest search window before the expansion gives up (the objective's
-# horizontal asymptote can hide the minimum at huge |gamma|)
-_MAX_WIDTH = 1e9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
+_ULP = 2.0**-52
+
+
+def _check_eta(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +60,7 @@ class SingleArm:
     eta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+        _check_eta("eta", self.eta)
 
 
 @dataclass(frozen=True)
@@ -49,8 +70,7 @@ class TwoArmSymmetric:
     eta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+        _check_eta("eta", self.eta)
 
 
 @dataclass(frozen=True)
@@ -61,10 +81,8 @@ class TwoArmIndependent:
     eta_b: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta_a <= 1.0:
-            raise ValueError(f"eta_a must be in [0, 1], got {self.eta_a}")
-        if not 0.0 <= self.eta_b <= 1.0:
-            raise ValueError(f"eta_b must be in [0, 1], got {self.eta_b}")
+        _check_eta("eta_a", self.eta_a)
+        _check_eta("eta_b", self.eta_b)
 
 
 LossFamily = Union[SingleArm, TwoArmSymmetric, TwoArmIndependent]
@@ -72,11 +90,10 @@ LossFamily = Union[SingleArm, TwoArmSymmetric, TwoArmIndependent]
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of a gamma minimization.
-
-    argmin is a single gamma for one-dimensional families and a
-    (gamma_a, gamma_b) pair for independent two-arm loss.
-    """
+    """Outcome of a gamma minimization: argmin is one gamma, or a
+    (gamma_a, gamma_b) pair for independent arms; evaluations counts
+    matrix-path bounds; converged is False only when the infimum is
+    approached as a gamma runs to infinity."""
 
     argmin: Union[float, tuple[float, float]]
     minimum: float
@@ -84,132 +101,147 @@ class OptimizationResult:
     converged: bool
 
 
-class _Tracker:
-    """Counts evaluations, enforces finiteness, remembers the best point."""
-
-    def __init__(self, objective: Callable[[float], float], budget: int) -> None:
-        self.objective = objective
-        self.budget = budget
-        self.count = 0
-        self.best_x = math.nan
-        self.best_y = math.inf
-
-    def __call__(self, x: float) -> float:
-        self.count += 1
-        y = self.objective(x)
-        if not math.isfinite(y):
-            raise NonFiniteObjective(f"objective returned {y} at gamma={x}")
-        if y < self.best_y:
-            self.best_x, self.best_y = x, y
-        return y
-
-    @property
-    def exhausted(self) -> bool:
-        return self.count >= self.budget
-
-
-def minimize_scalar(
-    objective: Callable[[float], float], lo: float, hi: float, abs_tol: float = 1e-8
-) -> OptimizationResult:
-    """Grid-bracketed golden-section minimization on [lo, hi].
-
-    A 129-point scan picks the basin (lowest argument wins ties), then
-    golden-section refines it until the bracket width drops below
-    abs_tol. Flat objectives short-circuit after the scan. The returned
-    minimum is the best evaluation seen, so it never exceeds any grid
-    value.
-
-    Raises
-    ------
-    NonFiniteObjective
-        If any evaluation is non-finite.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not abs_tol > 0.0:
-        raise ValueError(f"abs_tol must be positive, got {abs_tol}")
-    f = _Tracker(objective, _EVAL_BUDGET)
-    step = (hi - lo) / (_COARSE_POINTS - 1)
-    ys = []
-    best_i = 0
-    for i in range(_COARSE_POINTS):
-        y = f(lo + i * step)
-        ys.append(y)
-        if y < ys[best_i]:
-            best_i = i
-    if max(ys) - min(ys) <= 1e-12 * max(1.0, abs(ys[best_i])):
-        # constant on the grid: refinement has nothing to do
-        return OptimizationResult(f.best_x, f.best_y, f.count, True)
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, _COARSE_POINTS - 1) * step
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc = f(c)
-    yd = f(d)
-    while h > abs_tol and not f.exhausted:
-        if yc <= yd:  # ties move left, keeping the lowest-gamma rule
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INVPHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INVPHI * h
-            yd = f(d)
-    return OptimizationResult(f.best_x, f.best_y, f.count, h <= abs_tol)
-
-
-def _is_flat(
-    objective: Callable[[float], float], lo: float, hi: float, minimum: float
-) -> bool:
-    # three interior probes; a non-constant rational objective cannot
-    # match the minimum at all of them to 1e-12 relative
-    tol = 1e-12 * max(1.0, abs(minimum))
-    return all(
-        abs(objective(lo + frac * (hi - lo)) - minimum) <= tol
-        for frac in (0.25, 0.5, 0.75)
-    )
-
-
-def _minimize_expanding(
-    objective: Callable[[float], float], abs_tol: float
-) -> OptimizationResult:
-    """One-dimensional minimization with symmetric window growth.
-
-    Starts on the standard gamma window and, while the scan's argmin
-    sits on an edge, triples the width about the current window. Growth
-    must be two-sided: these objectives share one horizontal asymptote
-    in both directions, and near a divergence of the analytic optimum
-    the interior minimum can sit far on the opposite side of the slope
-    the initial window sees, so chasing the downhill edge alone would
-    walk into the asymptote (and, eventually, into cancellation noise)
-    instead of bracketing the true dip. Gives up with converged=False
-    once the window hits the width cap.
-    """
-    lo, hi = _GAMMA_LO, _GAMMA_HI
-    total_evals = 0
-    while True:
-        result = minimize_scalar(objective, lo, hi, abs_tol)
-        total_evals += result.evaluations
-        width = hi - lo
-        cell = width / (_COARSE_POINTS - 1)
-        on_edge = result.argmin <= lo + cell or result.argmin >= hi - cell
-        if not on_edge or _is_flat(objective, lo, hi, result.minimum):
-            return OptimizationResult(
-                result.argmin, result.minimum, total_evals, result.converged
-            )
-        if 3.0 * width > _MAX_WIDTH:
-            return OptimizationResult(result.argmin, result.minimum, total_evals, False)
-        lo -= width
-        hi += width
-
-
 def _bound_value(cm: FisherMatrix, target: Target, mode: EstimationMode) -> float:
+    """The bound of one candidate; inf where it is not finite, or where the
+    complement is under the kernel's zero threshold (tiny matrices)."""
+    if mode is EstimationMode.SINGLE_PARAMETER:
+        value = cm.f_mm if target is Target.PHASE_DIFFERENCE else cm.f_pp
+    else:
+        try:
+            value = two_param_bound(cm, target)
+        except SingularComplement:
+            return math.inf
+    return value if math.isfinite(value) else math.inf
+
+
+def _loss_weights(eta: float, mean: float, var: float) -> tuple[float, float]:
+    """(a, b) in proportion to (eta <n>, (1 - eta) var), the loss term in standard
+    units, scaled to a maximum of 1; (1, 0) pins z_i = w_i for a lossless arm or
+    one without variance. A loss term under an ulp of the variance is dropped."""
+    a, b = eta * mean, (1.0 - eta) * var
+    if b == 0.0 or a * _ULP > b:
+        return 1.0, 0.0
+    return (0.0, 1.0) if a <= _ULP * b else (1.0, b / a) if a > b else (a / b, 1.0)
+
+
+def _pair_argmin(
+    stats: ModeStatistics, eta_a: float, eta_b: float, target: Target, mode: EstimationMode
+) -> tuple[tuple[float, float], bool]:
+    """Closed-form (gamma_a, gamma_b), and False when the infimum needs a gamma_i
+    at infinity (w_i = 0 but z_i != 0). Works in standard units sd_i z_i, where
+    V is the correlation matrix, so arms of any relative size keep precision."""
+    sd_a, sd_b = math.sqrt(stats.var_a) or 1.0, math.sqrt(stats.var_b) or 1.0
+    r_a, r_b = float(stats.var_a > 0.0), float(stats.var_b > 0.0)
+    j = math.copysign(min(abs(stats.cov / sd_a / sd_b), 1.0), stats.cov)
+    a_a, b_a = _loss_weights(eta_a, stats.mean_a, stats.var_a)
+    a_b, b_b = _loss_weights(eta_b, stats.mean_b, stats.var_b)
+    s = max(r_a * r_b - j * j, 0.0)
+    # det = 0 only with no loss term on either arm and |J| = 1: then M = 0 and z = 0
+    det = b_a * b_b * s + a_a * b_b * r_b + a_b * b_a * r_a + a_a * a_b or math.inf
+    t = 0.0
     if mode is EstimationMode.TWO_PARAMETER:
-        return two_param_bound(cm, target)
-    return cm.f_mm if target is Target.PHASE_DIFFERENCE else cm.f_pp
+        m = (
+            a_a * (b_b * s + a_b * r_a) * stats.var_a,
+            a_b * (b_a * s + a_a * r_b) * stats.var_b,
+            a_a * a_b * j * sd_a * sd_b,
+        )
+        fm = qfim_matrix(ModeStatistics(stats.mean_a, stats.mean_b, *(x / det for x in m)))
+        comp = fm.f_pp if target is Target.PHASE_DIFFERENCE else fm.f_mm
+        t = -fm.f_pm / comp if comp > 0.0 else 0.0
+    w_a, w_b = 1.0 + t, (1.0 - t if target is Target.PHASE_SUM else t - 1.0)
+    v_a, v_b = sd_a * w_a, sd_b * w_b  # w in standard units
+    y_a = ((b_b * r_b + a_b) * a_a * v_a - b_a * j * a_b * v_b) / det
+    y_b = ((b_a * r_a + a_a) * a_b * v_b - b_b * j * a_a * v_a) / det
+    gammas, attained = [], True
+    for y, v, sd, b, eta in ((y_a, v_a, sd_a, b_a, eta_a), (y_b, v_b, sd_b, b_b, eta_b)):
+        if b == 0.0:  # pinned at u_i = 1, where gamma_i = -1 unless eta_i = 1
+            gammas.append(_FREE_GAMMA if eta == 1.0 else -1.0)
+        elif v == 0.0:  # z_i = y/sd is linear in w and dimensionless: compare it with w
+            attained = attained and abs(y / sd) <= 1e-9 * (abs(w_a) + abs(w_b))
+            gammas.append(_FREE_GAMMA)
+        else:
+            gammas.append((1.0 - y / v) / (1.0 - eta) - 1.0)
+    if not all(abs(g) < 1e150 for g in gammas):  # the matrix path squares gamma
+        raise NonFiniteObjective(f"optimal gamma {gammas} is out of float range")
+    return (gammas[0], gammas[1]), attained
+
+
+def _horner(p: list[float], x: float) -> float:
+    acc = 0.0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _bisect(p: list[float], lo: float, hi: float) -> float:
+    """Root of p where it changes sign strictly inside [lo, hi]."""
+    lo_negative = _horner(p, lo) < 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (_horner(p, mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def _unit_roots(p: list[float]) -> list[float]:
+    """Roots in [0, 1] of p and all its derivatives, with 0 and 1: p is
+    monotone between roots of p', and a k-fold root of p is a simple root
+    of its (k-1)-th derivative."""
+    if len(p) < 2:
+        return [0.0, 1.0]
+    edges = sorted(set(_unit_roots([k * c for k, c in enumerate(p)][1:])))
+    roots = []
+    for lo, hi in zip(edges, edges[1:]):
+        p_lo, p_hi = _horner(p, lo), _horner(p, hi)
+        if p_lo != 0.0 and p_hi != 0.0 and (p_lo < 0.0) != (p_hi < 0.0):
+            roots.append(_bisect(p, lo, hi))
+    return roots + edges
+
+
+def _shared_gammas(
+    stats: ModeStatistics, eta: float, target: Target, mode: EstimationMode
+) -> list[float]:
+    """Gammas among which the symmetric-loss bound takes its minimum."""
+    b = 1.0 - eta
+    if b == 0.0:
+        return [_FREE_GAMMA]  # the matrix does not depend on gamma
+    a_a, a_b = eta * stats.mean_a, eta * stats.mean_b
+    l2 = a_a + a_b
+    if l2 == 0.0:
+        return [eta / b]  # no loss term: C = u**2 F, least at u = 0
+    va, vb = stats.var_a, stats.var_b
+    cov = stats.cov if target is Target.PHASE_SUM else -stats.cov
+    # S = (p + q t)**2 + r (1 + e t)**2 (larger variance first) stays accurate at |J| = 1
+    big, e = (va, -1.0) if va >= vb else (vb, 1.0)
+    root = math.sqrt(big)
+    ratio = cov / root if root else 0.0
+    p, q = root + ratio, e * (ratio - root)
+    r = max(va * vb - cov * cov, 0.0) / big if big else 0.0
+    s2, t_l, l0 = q * q + r, (a_b - a_a) / l2, 4.0 * a_a * a_b / l2  # S = s2 (t - t_s)**2 + s0
+    if mode is EstimationMode.SINGLE_PARAMETER:
+        pairs = [(p * p + r, l2)]  # (S, L) at t = 0
+    elif s2 == 0.0:
+        pairs = [(p * p, l0)]  # S is constant: g is least where L is
+    else:
+        s0 = r * (p - e * q) ** 2 / s2
+        d = -(p * q + r * e) / s2 - t_l  # t_s - t_l
+        # the quintic b l2 (t - t_l) S**2 + s2 (t - t_s) L**2 over t = t_l + d sigma is
+        # c sigma (alpha (sigma - 1)**2 + s0)**2 + k (sigma - 1)(beta sigma**2 + l0)**2
+        alpha, beta, c, k = s2 * d * d, l2 * d * d, b * l2, s2
+        e1 = alpha + s0
+        quintic = [
+            -k * l0 * l0,
+            c * e1 * e1 + k * l0 * l0,
+            -4.0 * c * alpha * e1 - 2.0 * k * beta * l0,
+            c * (4.0 * alpha * alpha + 2.0 * alpha * e1) + 2.0 * k * beta * l0,
+            -4.0 * c * alpha * alpha - k * beta * beta,
+            c * alpha * alpha + k * beta * beta,
+        ]
+        sigmas = sorted(set(_unit_roots(quintic)))
+        pairs = [(alpha * (sg - 1.0) ** 2 + s0, beta * sg * sg + l0) for sg in sigmas]
+    # u = L/(b S + L); where S = L = 0 the form vanishes for every u
+    return [sv / (b * sv + lv) - 1.0 if b * sv + lv > 0.0 else _FREE_GAMMA for sv, lv in pairs]
 
 
 def optimize_gamma(
@@ -217,62 +249,31 @@ def optimize_gamma(
     loss_family: LossFamily,
     target: Target,
     mode: EstimationMode = EstimationMode.TWO_PARAMETER,
-    abs_tol: float = 1e-8,
 ) -> OptimizationResult:
-    """Minimize the information bound over the loss distribution gamma.
-
-    For SingleArm and TwoArmSymmetric this is one expanding-window
-    scalar minimization; for TwoArmIndependent it alternates coordinate
-    minimizations of (gamma_a, gamma_b) from (-0.5, -0.5), at most 50
-    sweeps, stopping when neither coordinate moves by abs_tol.
+    """Globally minimize the information bound over the loss distribution gamma.
 
     mode selects the quantity being minimized: the two-parameter
     Schur-complement bound (default) or the bare diagonal element used
     by single-parameter estimation.
     """
-    if isinstance(loss_family, SingleArm):
-        eta = loss_family.eta
-
-        def objective(gamma: float) -> float:
-            cm = c_matrix_single(stats, SingleArmLoss(eta, gamma))
-            return _bound_value(cm, target, mode)
-
-        return _minimize_expanding(objective, abs_tol)
-
     if isinstance(loss_family, TwoArmSymmetric):
-        eta = loss_family.eta
-
-        def objective(gamma: float) -> float:
-            loss = TwoArmLoss(eta, eta, gamma, gamma)
-            return _bound_value(c_matrix_two(stats, loss), target, mode)
-
-        return _minimize_expanding(objective, abs_tol)
-
-    if isinstance(loss_family, TwoArmIndependent):
+        eta, attained = loss_family.eta, True
+        gammas = _shared_gammas(stats, eta, target, mode)
+        matrices = [c_matrix_two(stats, TwoArmLoss(eta, eta, g, g)) for g in gammas]
+    elif isinstance(loss_family, SingleArm):
+        (gamma, _), attained = _pair_argmin(stats, loss_family.eta, 1.0, target, mode)
+        gammas = [gamma]
+        matrices = [c_matrix_single(stats, SingleArmLoss(loss_family.eta, gamma))]
+    elif isinstance(loss_family, TwoArmIndependent):
         eta_a, eta_b = loss_family.eta_a, loss_family.eta_b
-
-        def pair_value(gamma_a: float, gamma_b: float) -> float:
-            loss = TwoArmLoss(eta_a, eta_b, gamma_a, gamma_b)
-            return _bound_value(c_matrix_two(stats, loss), target, mode)
-
-        gamma_a, gamma_b = -0.5, -0.5
-        total_evals = 0
-        last = OptimizationResult((gamma_a, gamma_b), math.inf, 0, False)
-        converged = False
-        for _ in range(50):
-            res_a = _minimize_expanding(lambda g: pair_value(g, gamma_b), abs_tol)
-            moved_a = abs(res_a.argmin - gamma_a)
-            gamma_a = res_a.argmin
-            res_b = _minimize_expanding(lambda g: pair_value(gamma_a, g), abs_tol)
-            moved_b = abs(res_b.argmin - gamma_b)
-            gamma_b = res_b.argmin
-            total_evals += res_a.evaluations + res_b.evaluations
-            last = res_b
-            if moved_a < abs_tol and moved_b < abs_tol:
-                converged = res_a.converged and res_b.converged
-                break
-        return OptimizationResult(
-            (gamma_a, gamma_b), last.minimum, total_evals, converged
-        )
-
-    raise TypeError(f"unknown loss family: {loss_family!r}")
+        pair, attained = _pair_argmin(stats, eta_a, eta_b, target, mode)
+        gammas, matrices = [pair], [c_matrix_two(stats, TwoArmLoss(eta_a, eta_b, *pair))]
+    else:
+        raise TypeError(f"unknown loss family: {loss_family!r}")
+    values = [_bound_value(cm, target, mode) for cm in matrices]
+    best = values.index(min(values))
+    if values[best] == math.inf:
+        if mode is EstimationMode.TWO_PARAMETER:
+            two_param_bound(matrices[best], target)  # the kernel's own error, if it has one
+        raise NonFiniteObjective(f"no finite bound at gamma in {gammas}")
+    return OptimizationResult(gammas[best], values[best], len(gammas), attained)

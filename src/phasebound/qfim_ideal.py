@@ -47,10 +47,12 @@ class FisherMatrix:
     f_pm: float
 
     def __post_init__(self) -> None:
-        if self.f_pp < 0.0 or self.f_mm < 0.0:
+        # rounding leaves vanishing diagonals (and the determinant) ulps below 0
+        scale = max(1.0, self.f_pp, self.f_mm)
+        if min(self.f_pp, self.f_mm) < -_PSD_SLACK * scale:
             raise ValueError("diagonal information elements must be >= 0")
         det = self.f_pp * self.f_mm - self.f_pm * self.f_pm
-        if det < -_PSD_SLACK * max(self.f_pp, self.f_mm):
+        if det < -_PSD_SLACK * scale * scale:
             raise ValueError(f"matrix is not positive semidefinite: det={det}")
 
 

@@ -117,10 +117,9 @@ def gamma_opt_single(stats: ModeStatistics, eta_a: float, target: Target) -> flo
         1 / [ (1-eta) + eta (1 + J sqrt(var_a/var_b)) / ((Q_a+1)(1-J^2)) ] - 1
 
     and the phase-sum optimum flips the sign of the J sqrt(var_a/var_b)
-    term. The caller is expected to confirm minimality numerically: the
-    bound as a function of gamma is a ratio of quadratics and this
-    stationary point is the minimum for the matched interferometer
-    (phase difference for LBS statistics, phase sum for NBS).
+    term. It is the global minimum over gamma: ``optimize_gamma`` reaches
+    the same gamma through the effective covariance of
+    :mod:`phasebound.optimizer`, and the tests check that they agree.
 
     Raises
     ------
@@ -232,8 +231,8 @@ def high_loss_two_arm(
         Omega_H = lambda / (eta tau + (1-eta) lambda)
 
     and the bound is the symmetric two-arm form evaluated at
-    gamma = Omega_H - 1. Returned for comparison against the numeric
-    optimizer only.
+    gamma = Omega_H - 1. Returned for comparison against
+    ``optimize_gamma`` only.
 
     Returns
     -------

@@ -1,16 +1,31 @@
-"""Bounded scalar minimization and the gamma-family optimizer."""
+"""The exact gamma-family optimizer, checked against independent routes.
+
+The golden-section minimizer below is the heuristic the package used
+before the exact minimizers; it stays here as a reference oracle that
+knows nothing about the structure of the bound.
+"""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasebound import (
     EstimationMode,
     InterferometerInput,
+    ModeStatistics,
     NonFiniteObjective,
     SingleArm,
     SingleArmLoss,
+    SingularComplement,
     SplitterSpec,
     Target,
     TwoArmIndependent,
@@ -21,7 +36,6 @@ from phasebound import (
     c_matrix_two,
     gamma_opt_single,
     lbs_moments,
-    minimize_scalar,
     nbs_moments,
     optimal_bound_single,
     optimize_gamma,
@@ -31,10 +45,101 @@ from phasebound import (
 
 SU2_STATS = lbs_moments(InterferometerInput(2.0, 0.5, SplitterSpec.lbs(0.7)))
 SU11_STATS = nbs_moments(InterferometerInput(2.0, 0.5, SplitterSpec.nbs(1.2)))
+TWO = EstimationMode.TWO_PARAMETER
+SINGLE = EstimationMode.SINGLE_PARAMETER
 
 
 # ---------------------------------------------------------------------------
-# scalar minimizer
+# reference scalar minimizer (test oracle)
+
+_COARSE_POINTS = 129
+_EVAL_BUDGET = 10_000
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+@dataclass(frozen=True)
+class ScalarResult:
+    argmin: float
+    minimum: float
+    evaluations: int
+    converged: bool
+
+
+class _Tracker:
+    """Counts evaluations, enforces finiteness, remembers the best point."""
+
+    def __init__(self, objective: Callable[[float], float], budget: int) -> None:
+        self.objective = objective
+        self.budget = budget
+        self.count = 0
+        self.best_x = math.nan
+        self.best_y = math.inf
+
+    def __call__(self, x: float) -> float:
+        self.count += 1
+        y = self.objective(x)
+        if not math.isfinite(y):
+            raise NonFiniteObjective(f"objective returned {y} at gamma={x}")
+        if y < self.best_y:
+            self.best_x, self.best_y = x, y
+        return y
+
+    @property
+    def exhausted(self) -> bool:
+        return self.count >= self.budget
+
+
+def minimize_scalar(
+    objective: Callable[[float], float], lo: float, hi: float, abs_tol: float = 1e-8
+) -> ScalarResult:
+    """Grid-bracketed golden-section minimization on [lo, hi].
+
+    A 129-point scan picks the basin (lowest argument wins ties), then
+    golden-section refines it until the bracket width drops below
+    abs_tol. Flat objectives short-circuit after the scan. The returned
+    minimum is the best evaluation seen, so it never exceeds any grid
+    value.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not abs_tol > 0.0:
+        raise ValueError(f"abs_tol must be positive, got {abs_tol}")
+    f = _Tracker(objective, _EVAL_BUDGET)
+    step = (hi - lo) / (_COARSE_POINTS - 1)
+    ys = []
+    best_i = 0
+    for i in range(_COARSE_POINTS):
+        y = f(lo + i * step)
+        ys.append(y)
+        if y < ys[best_i]:
+            best_i = i
+    if max(ys) - min(ys) <= 1e-12 * max(1.0, abs(ys[best_i])):
+        # constant on the grid: refinement has nothing to do
+        return ScalarResult(f.best_x, f.best_y, f.count, True)
+    a = lo + max(best_i - 1, 0) * step
+    b = lo + min(best_i + 1, _COARSE_POINTS - 1) * step
+    h = b - a
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    yc = f(c)
+    yd = f(d)
+    while h > abs_tol and not f.exhausted:
+        if yc <= yd:  # ties move left, keeping the lowest-gamma rule
+            b, d, yd = d, c, yc
+            h = b - a
+            c = a + _INVPHI2 * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + _INVPHI * h
+            yd = f(d)
+    return ScalarResult(f.best_x, f.best_y, f.count, h <= abs_tol)
+
+
+# ---------------------------------------------------------------------------
+# reference scalar minimizer: its own unit tests
 
 
 def test_minimize_quadratic():
@@ -193,6 +298,354 @@ def test_unknown_family_raises_type_error():
 
 
 def test_optimizer_reports_evaluation_count():
-    result = optimize_gamma(SU2_STATS, SingleArm(0.5), Target.PHASE_DIFFERENCE)
-    assert result.evaluations >= 129
-    assert result.evaluations < 10_000
+    # closed forms evaluate the matrix path once, at the recovered gamma;
+    # the shared-gamma family evaluates each candidate root once
+    for family in (SingleArm(0.5), TwoArmIndependent(0.5, 0.8)):
+        for mode in EstimationMode:
+            result = optimize_gamma(SU2_STATS, family, Target.PHASE_DIFFERENCE, mode=mode)
+            assert result.evaluations == 1
+    result = optimize_gamma(SU2_STATS, TwoArmSymmetric(0.5), Target.PHASE_DIFFERENCE)
+    # roots in [0, 1] of a quintic and its derivatives, plus both ends
+    assert 1 <= result.evaluations <= 17
+    lossless = optimize_gamma(SU2_STATS, TwoArmSymmetric(1.0), Target.PHASE_DIFFERENCE)
+    assert lossless.evaluations == 1 and lossless.argmin == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the closed form for independent arms, re-derived step by step
+
+
+def _random_stats(rng):
+    va, vb = rng.uniform(0.1, 10.0, size=2)
+    cov = rng.uniform(-1.0, 1.0) * math.sqrt(va * vb)
+    mean_a, mean_b = rng.uniform(0.1, 10.0, size=2)
+    return ModeStatistics(mean_a, mean_b, va, vb, cov)
+
+
+def _target_and_other(target, t):
+    """v = e_target + t e_other in the (phase sum, phase difference) basis."""
+    return (1.0, t) if target is Target.PHASE_SUM else (t, 1.0)
+
+
+def _arm_weights(target, t):
+    # w_a = v_plus + v_minus, w_b = v_plus - v_minus
+    v_plus, v_minus = _target_and_other(target, t)
+    return v_plus + v_minus, v_plus - v_minus
+
+
+def _quadratic_form(cm, v):
+    return v[0] ** 2 * cm.f_pp + v[1] ** 2 * cm.f_mm + 2.0 * v[0] * v[1] * cm.f_pm
+
+
+def _effective_covariance(stats, eta_a, eta_b):
+    """M = S (I + K S)^-1 by plain linear algebra, K = diag((1-eta)/(eta <n>))."""
+    s = np.array([[stats.var_a, stats.cov], [stats.cov, stats.var_b]])
+    k = np.diag(
+        [(1.0 - eta_a) / (eta_a * stats.mean_a), (1.0 - eta_b) / (eta_b * stats.mean_b)]
+    )
+    return s @ np.linalg.inv(np.eye(2) + k @ s)
+
+
+def test_schur_bound_is_the_minimum_over_t():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        stats = _random_stats(rng)
+        eta_a, eta_b = rng.uniform(0.05, 0.95, size=2)
+        gamma_a, gamma_b = rng.uniform(-3.0, 3.0, size=2)
+        cm = c_matrix_two(stats, TwoArmLoss(eta_a, eta_b, gamma_a, gamma_b))
+        for target in Target:
+            comp = cm.f_mm if target is Target.PHASE_SUM else cm.f_pp
+            t_star = -cm.f_pm / comp
+            bound = two_param_bound(cm, target)
+            assert _quadratic_form(cm, _target_and_other(target, t_star)) == pytest.approx(
+                bound, rel=1e-9, abs=1e-12 * comp
+            )
+            for t in rng.uniform(-5.0, 5.0, size=5):
+                assert _quadratic_form(cm, _target_and_other(target, t)) >= bound * (1 - 1e-12)
+
+
+def test_quadratic_form_splits_into_covariance_and_loss_terms():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        stats = _random_stats(rng)
+        eta = rng.uniform(0.05, 0.95, size=2)
+        gamma = rng.uniform(-3.0, 3.0, size=2)
+        t = rng.uniform(-3.0, 3.0)
+        cm = c_matrix_two(stats, TwoArmLoss(eta[0], eta[1], gamma[0], gamma[1]))
+        s = np.array([[stats.var_a, stats.cov], [stats.cov, stats.var_b]])
+        d = np.diag(eta * np.array([stats.mean_a, stats.mean_b]) / (1.0 - eta))
+        for target in Target:
+            w = np.array(_arm_weights(target, t))
+            z = w * (1.0 - (gamma + 1.0) * (1.0 - eta))  # z_i = w_i u_i
+            split = z @ s @ z + (w - z) @ d @ (w - z)
+            direct = _quadratic_form(cm, _target_and_other(target, t))
+            assert direct == pytest.approx(split, rel=1e-10)
+
+
+def test_minimum_is_the_ideal_kernel_on_the_effective_covariance():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        stats = _random_stats(rng)
+        eta_a, eta_b = rng.uniform(0.05, 0.95, size=2)
+        m = _effective_covariance(stats, eta_a, eta_b)
+        # M is the parallel combination of S and D, so it stays a covariance
+        assert m[0, 1] == pytest.approx(m[1, 0], rel=1e-9, abs=1e-12)
+        effective = ModeStatistics(stats.mean_a, stats.mean_b, m[0, 0], m[1, 1], m[0, 1])
+        fm = qfim_matrix(effective)
+        family = TwoArmIndependent(eta_a, eta_b)
+        for target in Target:
+            two = optimize_gamma(stats, family, target)
+            single = optimize_gamma(stats, family, target, mode=SINGLE)
+            diag = fm.f_pp if target is Target.PHASE_SUM else fm.f_mm
+            assert two.converged and single.converged
+            assert two.minimum == pytest.approx(two_param_bound(fm, target), rel=1e-9)
+            assert single.minimum == pytest.approx(diag, rel=1e-9)
+
+
+def test_one_arm_closed_form_recovers_the_analytic_gamma():
+    rng = np.random.default_rng(6)
+    worst = 0.0
+    checked = 0
+    while checked < 1000:
+        if checked % 2:
+            stats = lbs_moments(
+                InterferometerInput(rng.uniform(0.5, 3.0), rng.uniform(0.1, 1.2),
+                                    SplitterSpec.lbs(rng.uniform(0.1, 0.9)))
+            )
+            target = Target.PHASE_DIFFERENCE
+        else:
+            stats = nbs_moments(
+                InterferometerInput(rng.uniform(0.5, 3.0), rng.uniform(0.1, 1.2),
+                                    SplitterSpec.nbs(rng.uniform(1.05, 2.0)))
+            )
+            target = Target.PHASE_SUM
+        eta = rng.uniform(0.05, 0.95)
+        analytic = gamma_opt_single(stats, eta, target)
+        if abs(analytic) > 10.0:
+            continue  # the closed form is well conditioned; the check is not
+        result = optimize_gamma(stats, SingleArm(eta), target)
+        worst = max(worst, abs(result.argmin - analytic))
+        checked += 1
+    assert worst <= 1e-11
+
+
+def test_independent_minimum_never_exceeds_a_dense_lattice():
+    rng = np.random.default_rng(7)
+    lattice = np.sinh(np.linspace(-math.asinh(50.0), math.asinh(50.0), 61))
+    for _ in range(20):
+        stats = _random_stats(rng)
+        eta_a, eta_b = rng.uniform(0.05, 0.95, size=2)
+        for target in Target:
+            result = optimize_gamma(stats, TwoArmIndependent(eta_a, eta_b), target)
+            for gamma_a in lattice:
+                for gamma_b in lattice:
+                    cm = c_matrix_two(stats, TwoArmLoss(eta_a, eta_b, gamma_a, gamma_b))
+                    assert result.minimum <= two_param_bound(cm, target) * (1 + 1e-9)
+
+
+def test_reference_minimizer_never_beats_the_exact_minimum():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        stats = _random_stats(rng)
+        eta_a, eta_b = rng.uniform(0.05, 0.95, size=2)
+        for target in Target:
+            sym = optimize_gamma(stats, TwoArmSymmetric(eta_a), target)
+            ref = minimize_scalar(
+                lambda g: two_param_bound(
+                    c_matrix_two(stats, TwoArmLoss(eta_a, eta_a, g, g)), target
+                ),
+                sym.argmin - 3.0,
+                sym.argmin + 3.0,
+            )
+            assert ref.minimum >= sym.minimum * (1 - 1e-12)
+            # coordinate refinement from the independent-arm argmin gains nothing
+            indep = optimize_gamma(stats, TwoArmIndependent(eta_a, eta_b), target)
+            gamma_a, gamma_b = indep.argmin
+            ref_a = minimize_scalar(
+                lambda g: two_param_bound(
+                    c_matrix_two(stats, TwoArmLoss(eta_a, eta_b, g, gamma_b)), target
+                ),
+                gamma_a - 3.0,
+                gamma_a + 3.0,
+            )
+            assert ref_a.minimum >= indep.minimum * (1 - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# pinned cases and edge branches
+
+
+def test_symmetric_second_basin_regression():
+    # the scan-and-refine optimizer stopped in the basin near gamma = -0.913
+    # at 870.36 and reported converged=True; the global minimum is far away
+    stats = nbs_moments(InterferometerInput(0.2412, 1.0364, SplitterSpec.nbs(2.9626)))
+    result = optimize_gamma(stats, TwoArmSymmetric(0.9115), Target.PHASE_SUM)
+    assert result.converged
+    assert result.minimum <= 373.548
+    assert result.argmin == pytest.approx(8.8513, abs=1e-4)
+    cm = c_matrix_two(stats, TwoArmLoss(0.9115, 0.9115, result.argmin, result.argmin))
+    assert result.minimum == two_param_bound(cm, Target.PHASE_SUM)
+
+
+@pytest.mark.parametrize("mode", list(EstimationMode))
+def test_lossless_families_are_the_ideal_bound(mode):
+    fm = qfim_matrix(SU11_STATS)
+    want = two_param_bound(fm, Target.PHASE_SUM) if mode is TWO else fm.f_pp
+    for family in (SingleArm(1.0), TwoArmSymmetric(1.0), TwoArmIndependent(1.0, 1.0)):
+        result = optimize_gamma(SU11_STATS, family, Target.PHASE_SUM, mode=mode)
+        assert result.converged
+        assert result.minimum == pytest.approx(want, rel=1e-12)
+        assert result.argmin in (0.0, (0.0, 0.0))  # gamma does not enter
+
+
+def test_opaque_arm_leaves_no_phase_sum_information():
+    # with arm a fully lost the optimum sits at t* = 1, where w_b = 0 and
+    # gamma_b is free
+    stats = SU11_STATS
+    for family in (SingleArm(0.0), TwoArmIndependent(0.0, 0.6)):
+        result = optimize_gamma(stats, family, Target.PHASE_SUM)
+        assert result.converged
+        assert result.minimum == pytest.approx(0.0, abs=1e-9)
+    _, gamma_b = optimize_gamma(stats, TwoArmIndependent(0.0, 0.6), Target.PHASE_SUM).argmin
+    assert gamma_b == 0.0
+    single = optimize_gamma(stats, SingleArm(0.0), Target.PHASE_SUM, mode=SINGLE)
+    assert single.minimum == pytest.approx(stats.var_b - stats.cov**2 / stats.var_a, rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.7])
+def test_vacuum_arm_gives_escher_single_mode_bound(eta):
+    # arm b in vacuum: the lossy arm's variance combines in parallel with
+    # eta <n>/(1 - eta), Escher's single-mode result
+    stats = ModeStatistics(3.0, 0.0, 5.0, 0.0, 0.0)
+    want = eta * 3.0 * 5.0 / ((1.0 - eta) * 5.0 + eta * 3.0)
+    for family in (SingleArm(eta), TwoArmSymmetric(eta), TwoArmIndependent(eta, 0.5)):
+        single = optimize_gamma(stats, family, Target.PHASE_SUM, mode=SINGLE)
+        two = optimize_gamma(stats, family, Target.PHASE_SUM)
+        assert single.converged and two.converged
+        assert single.minimum == pytest.approx(want, rel=1e-12)
+        assert two.minimum == pytest.approx(0.0, abs=1e-12)  # phi_b stays unknown
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_perfect_correlation_without_loss_terms(target):
+    # eta = 0 on both arms at |J| = 1: no loss term, singular covariance,
+    # zero information reached at u = 0 (gamma = 0)
+    stats = ModeStatistics(2.0, 2.0, 4.0, 1.0, 2.0)
+    for family in (TwoArmIndependent(0.0, 0.0), TwoArmSymmetric(0.0)):
+        for mode in EstimationMode:
+            result = optimize_gamma(stats, family, target, mode=mode)
+            assert result.converged
+            assert result.minimum == pytest.approx(0.0, abs=1e-12)
+            assert result.argmin in (0.0, (0.0, 0.0))
+
+
+def test_argmin_out_of_float_range_is_an_error():
+    # a perfectly correlated arm with variance 1e-308 needs |gamma| ~ 1e154,
+    # whose square the matrix path cannot form
+    stats = ModeStatistics(1.0, 1e-308, 4.0, 1e-308, 2e-154)
+    with pytest.raises(NonFiniteObjective, match="out of float range"):
+        optimize_gamma(stats, TwoArmIndependent(1.0, 0.0), Target.PHASE_DIFFERENCE)
+
+
+# ---------------------------------------------------------------------------
+# property: the reported minimum is global
+
+
+_GAMMA_SAMPLE = st.floats(min_value=-1e3, max_value=1e3)
+_ETA = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+_GRID = [float(g) for g in np.sinh(np.linspace(-math.asinh(1e3), math.asinh(1e3), 101))]
+
+
+@st.composite
+def _statistics(draw, interferometer):
+    kind = draw(st.sampled_from(["closed", "closed", "vacuum_arm", "extreme_j"]))
+    alpha = draw(st.floats(min_value=0.0, max_value=3.0))
+    squeeze = draw(st.floats(min_value=0.0, max_value=1.5))
+    if interferometer == "SU2":
+        splitter = SplitterSpec.lbs(draw(st.floats(min_value=0.0, max_value=1.0)))
+        stats = lbs_moments(InterferometerInput(alpha, squeeze, splitter))
+    else:
+        splitter = SplitterSpec.nbs(draw(st.floats(min_value=1.0, max_value=3.0)))
+        stats = nbs_moments(InterferometerInput(alpha, squeeze, splitter))
+    if kind == "vacuum_arm":
+        return ModeStatistics(stats.mean_a, 0.0, stats.var_a, 0.0, 0.0)
+    if kind == "extreme_j":
+        j = draw(st.sampled_from([1.0, -1.0, 1.0 - 1e-9, -1.0 + 1e-9]))
+        root = math.sqrt(stats.var_a) * math.sqrt(stats.var_b)
+        return ModeStatistics(stats.mean_a, stats.mean_b, stats.var_a, stats.var_b, j * root)
+    return stats
+
+
+def _bound_at(stats, family, target, mode, gamma):
+    """(matrix-path bound, its rounding allowance) at one gamma.
+
+    The complement's relative rounding is about max(C)/comp ulps and the
+    correction f_pm**2/comp it enters is at most the diagonal, so the
+    Schur bound is good to about ulps * diag * max(C)/comp.
+    """
+    if isinstance(family, SingleArm):
+        cm = c_matrix_single(stats, SingleArmLoss(family.eta, gamma))
+    elif isinstance(family, TwoArmSymmetric):
+        cm = c_matrix_two(stats, TwoArmLoss(family.eta, family.eta, gamma, gamma))
+    else:
+        cm = c_matrix_two(stats, TwoArmLoss(family.eta_a, family.eta_b, *gamma))
+    diag, comp = (cm.f_pp, cm.f_mm) if target is Target.PHASE_SUM else (cm.f_mm, cm.f_pp)
+    scale = max(1.0, cm.f_pp, cm.f_mm)
+    if mode is SINGLE:
+        return diag, 1e-13 * scale
+    rounding = 1e-13 * scale * (1.0 + scale / comp) if comp > 0.0 else math.inf
+    return two_param_bound(cm, target), rounding
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), interferometer=st.sampled_from(["SU2", "SU11"]))
+def test_reported_minimum_is_global(data, interferometer):
+    stats = data.draw(_statistics(interferometer))
+    target = Target.PHASE_DIFFERENCE if interferometer == "SU2" else Target.PHASE_SUM
+    eta_a = data.draw(_ETA)
+    eta_b = eta_a if data.draw(st.booleans()) else data.draw(_ETA)
+    samples = data.draw(st.lists(_GAMMA_SAMPLE, min_size=1, max_size=8))
+    for mode in EstimationMode:
+        results = {}
+        families = (SingleArm(eta_a), TwoArmSymmetric(eta_a), TwoArmIndependent(eta_a, eta_b))
+        for family in families:
+            try:
+                result = optimize_gamma(stats, family, target, mode=mode)
+            except SingularComplement:
+                # under the kernel's zero threshold already without loss
+                with pytest.raises(SingularComplement):
+                    two_param_bound(qfim_matrix(stats), target)
+                continue
+            except NonFiniteObjective:
+                # only an arm ~1e-300 times quieter than the other pushes the
+                # argmin (about sqrt(var_a/var_b)) out of float range
+                assert min(stats.var_a, stats.var_b) < 1e-280 * max(stats.var_a, stats.var_b)
+                continue
+            value, rounding = _bound_at(stats, family, target, mode, result.argmin)
+            results[type(family)] = (result.minimum, rounding)
+            assert result.converged
+            assert result.minimum == value
+            if isinstance(family, TwoArmIndependent):
+                gammas = [(a, b) for a in _GRID[::10] for b in _GRID[::10]]
+                gammas += [(g, h) for g in samples for h in samples]
+            else:
+                gammas = [*_GRID, *samples]
+            for gamma in gammas:
+                try:
+                    value, sampled_rounding = _bound_at(stats, family, target, mode, gamma)
+                except SingularComplement:
+                    continue  # no bound where the complement vanishes
+                slack = rounding + sampled_rounding
+                assert result.minimum <= value * (1 + 1e-9) + slack, (family, gamma)
+        if eta_a == eta_b and len(results) == 3:
+            sym, sym_rounding = results[TwoArmSymmetric]
+            indep, indep_rounding = results[TwoArmIndependent]
+            assert indep <= sym * (1 + 1e-9) + sym_rounding + indep_rounding
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, phasebound.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

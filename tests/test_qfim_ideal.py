@@ -61,6 +61,16 @@ def test_fisher_matrix_rejects_indefinite():
         FisherMatrix(1.0, 1.0, 2.0)
 
 
+def test_fisher_matrix_tolerates_rounding_below_zero():
+    # a vanishing diagonal a few ulps negative, and a singular matrix at
+    # scale 4e6 whose determinant lands scale**2 ulps below zero
+    FisherMatrix(-4e-16, 5.0, 1e-8)
+    big = 4.0e6
+    FisherMatrix(big, big, big * (1.0 + 1e-15))
+    with pytest.raises(ValueError, match="semidefinite"):
+        FisherMatrix(big, big, big * (1.0 + 1e-9))
+
+
 # ---------------------------------------------------------------------------
 # Schur complement bound
 
