@@ -49,7 +49,6 @@ from .qfim_lossy import (
     Regime,
     SingleArmLoss,
     TwoArmLoss,
-    c_bound,
     c_bound_two_symmetric,
     c_matrix_single,
     c_matrix_two,
@@ -86,7 +85,6 @@ __all__ = [
     "TwoArmIndependent",
     "TwoArmLoss",
     "TwoArmSymmetric",
-    "c_bound",
     "c_bound_two_symmetric",
     "c_matrix_single",
     "c_matrix_two",

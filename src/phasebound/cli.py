@@ -43,6 +43,7 @@ from .fock_oracle import (
 from .moments import (
     InterferometerInput,
     ModeStatistics,
+    SplitterKind,
     SplitterSpec,
     derived_correlations,
     lbs_moments,
@@ -247,7 +248,7 @@ def _build_input(
 
 
 def _stats_for(inp: InterferometerInput) -> ModeStatistics:
-    if inp.splitter.kind.name == "LBS":
+    if inp.splitter.kind is SplitterKind.LBS:
         return lbs_moments(inp)
     return nbs_moments(inp)
 
@@ -533,11 +534,23 @@ class _Parser(argparse.ArgumentParser):
 def _read_config(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as handle:
-            return json.load(handle)
+            document = json.load(sys.stdin)
+        else:
+            with open(path) as handle:
+                document = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ConfigError("configuration must be a JSON object")
+    return document
+
+
+def _pop_cutoff(document: dict) -> int:
+    raw = document.pop("cutoff", 64)
+    try:
+        return int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"cutoff must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,7 +604,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         document = _read_config(args.config)
-        cutoff = int(document.pop("cutoff", 64))
+        cutoff = _pop_cutoff(document)
         spec = load_spec(document, repeats_override=args.repeats)
     except (ConfigError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

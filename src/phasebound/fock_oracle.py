@@ -3,9 +3,12 @@
 Everything here recomputes what the closed-form modules predict, by a
 deliberately different route: states are concrete amplitude arrays,
 splitters are numerically exponentiated generators, loss is an explicit
-sum over Kraus branches. Slow by design and kept out of production
-paths; the test suite and the `oracle-check` CLI subcommand are the
-only consumers.
+sum over Kraus branches. Each arm's branches (l of n photons lost, with
+binomial weight) are summed per initial photon number, and the two arms'
+sums are contracted with the photon-number distribution; single-arm loss
+is the same sum with arm b lossless. No closed-form binomial moment is
+used. Kept out of production paths; the test suite and the
+`oracle-check` CLI subcommand are the only consumers.
 
 A truncation subtlety drives the cutoff policy: the truncated splitter
 generators are exactly Hermitian, so their exponentials conserve norm
@@ -206,47 +209,47 @@ def derivative_qfim(state: TruncatedState) -> FisherMatrix:
 
 
 def _loss_weights(cutoff: int, eta: float) -> np.ndarray:
-    """W[l, k] = C(k+l, l) (1-eta)^l eta^k: probability weight for
-    keeping k photons after losing l, per initial number k+l."""
+    """W[n, l] = C(n, l) (1-eta)^l eta^(n-l): probability of losing l of
+    n initial photons (zero for l > n)."""
     d = cutoff + 1
-    w = np.zeros((d, d))
     if eta == 0.0:
-        w[:, 0] = 1.0
-        return w
+        return np.eye(d)
     if eta == 1.0:
-        w[0, :] = 1.0
-        return w
-    log_eta = math.log(eta)
-    log_loss = math.log1p(-eta)
-    for l in range(d):
-        for k in range(d - l):
-            log_comb = (
-                math.lgamma(k + l + 1) - math.lgamma(l + 1) - math.lgamma(k + 1)
-            )
-            w[l, k] = math.exp(log_comb + l * log_loss + k * log_eta)
-    return w
+        return np.eye(1, d).repeat(d, axis=0)
+    n = np.arange(d)
+    log_fact = np.array([math.lgamma(j + 1) for j in n])
+    l = n[None, :]
+    k = np.maximum(n[:, None] - l, 0)  # photons kept; the l > n half is masked
+    log_comb = log_fact[:, None] - log_fact[l] - log_fact[k]
+    return np.tril(np.exp(log_comb + l * math.log1p(-eta) + k * math.log(eta)))
+
+
+def _branch_sums(cutoff: int, eta: float, gamma: float) -> np.ndarray:
+    """Rows 0, 1, 2: sum over lost quanta l of W[n, l] x^p per initial
+    photon number n, where x = (n - l) - gamma*l is the arm's share of
+    the derivative exponents D_± = (x_a ± x_b)/2."""
+    w = _loss_weights(cutoff, eta)
+    n = np.arange(cutoff + 1.0)
+    x = (n[:, None] - n[None, :]) - gamma * n[None, :]
+    return np.stack([w.sum(axis=1), (w * x).sum(axis=1), (w * x * x).sum(axis=1)])
+
+
+def _branch_moments(state: TruncatedState, loss: Union[SingleArmLoss, TwoArmLoss]) -> np.ndarray:
+    """E[p, q] = sum over every loss branch of <x_a^p x_b^q>, p, q <= 2.
+
+    Single-arm loss is two-arm loss with arm b lossless."""
+    if isinstance(loss, SingleArmLoss):
+        loss = TwoArmLoss(loss.eta_a, 1.0, loss.gamma, 0.0)
+    prob = np.abs(state.amplitudes) ** 2
+    s_a = _branch_sums(state.cutoff, loss.eta_a, loss.gamma_a)
+    s_b = _branch_sums(state.cutoff, loss.eta_b, loss.gamma_b)
+    return s_a @ prob @ s_b.T
 
 
 def kraus_completeness(state: TruncatedState, loss: Union[SingleArmLoss, TwoArmLoss]) -> float:
     """Sum over loss branches of <Π†Π>; equals the squared norm when the
     truncated series is complete."""
-    prob = np.abs(state.amplitudes) ** 2
-    if isinstance(loss, SingleArmLoss):
-        w = _loss_weights(state.cutoff, loss.eta_a)
-        # total weight per initial photon number n: sum over l of W[l, n-l]
-        totals = np.array(
-            [sum(w[l, n - l] for l in range(n + 1)) for n in range(state.cutoff + 1)]
-        )
-        return float((prob.sum(axis=1) * totals).sum())
-    w_a = _loss_weights(state.cutoff, loss.eta_a)
-    w_b = _loss_weights(state.cutoff, loss.eta_b)
-    tot_a = np.array(
-        [sum(w_a[l, n - l] for l in range(n + 1)) for n in range(state.cutoff + 1)]
-    )
-    tot_b = np.array(
-        [sum(w_b[l, n - l] for l in range(n + 1)) for n in range(state.cutoff + 1)]
-    )
-    return float(tot_a @ prob @ tot_b)
+    return float(_branch_moments(state, loss)[0, 0])
 
 
 def kraus_sum_cij(
@@ -254,52 +257,18 @@ def kraus_sum_cij(
 ) -> FisherMatrix:
     """Information matrix from the explicit sum over loss branches.
 
-    Each branch contributes expectation values of the two derivative
-    exponents D_± (linear in photon numbers and in the loss count via
-    gamma); the series over lost quanta is exact on the truncated grid.
+    Each branch (l_a, l_b lost quanta) contributes expectation values of
+    the derivative exponents D_± = (x_a ± x_b)/2 with x = (n - l) - gamma*l
+    per arm. The branches of one arm do not depend on the other's, so the
+    sum factorises into per-arm sums of 1, x and x^2 over l, contracted
+    with the photon-number distribution; it is still the exact series on
+    the truncated grid, with no closed-form binomial moment.
     """
-    prob = np.abs(state.amplitudes) ** 2
-    n = np.arange(state.cutoff + 1.0)
-    e_p = e_m = 0.0
-    e_pp = e_mm = e_pm = 0.0
-    if isinstance(loss, SingleArmLoss):
-        w = _loss_weights(state.cutoff, loss.eta_a)
-        for l_a in range(state.cutoff + 1):
-            kept = state.cutoff + 1 - l_a
-            branch = prob[l_a:, :] * w[l_a, :kept][:, None]
-            n_kept = n[:kept][:, None]
-            m = n[None, :]
-            d_m = 0.5 * (n_kept - m - loss.gamma * l_a)
-            d_p = 0.5 * (n_kept + m - loss.gamma * l_a)
-            e_p += float((branch * d_p).sum())
-            e_m += float((branch * d_m).sum())
-            e_pp += float((branch * d_p * d_p).sum())
-            e_mm += float((branch * d_m * d_m).sum())
-            e_pm += float((branch * d_p * d_m).sum())
-    else:
-        w_a = _loss_weights(state.cutoff, loss.eta_a)
-        w_b = _loss_weights(state.cutoff, loss.eta_b)
-        for l_a in range(state.cutoff + 1):
-            kept_a = state.cutoff + 1 - l_a
-            n_kept = n[:kept_a][:, None]
-            row = prob[l_a:, :] * w_a[l_a, :kept_a][:, None]
-            for l_b in range(state.cutoff + 1):
-                kept_b = state.cutoff + 1 - l_b
-                branch = row[:, l_b:] * w_b[l_b, :kept_b][None, :]
-                m_kept = n[:kept_b][None, :]
-                d_m = 0.5 * (
-                    n_kept - m_kept - loss.gamma_a * l_a + loss.gamma_b * l_b
-                )
-                d_p = 0.5 * (
-                    n_kept + m_kept - loss.gamma_a * l_a - loss.gamma_b * l_b
-                )
-                e_p += float((branch * d_p).sum())
-                e_m += float((branch * d_m).sum())
-                e_pp += float((branch * d_p * d_p).sum())
-                e_mm += float((branch * d_m * d_m).sum())
-                e_pm += float((branch * d_p * d_m).sum())
+    (_, x_b, x_bb), (x_a, x_ab, _), (x_aa, _, _) = _branch_moments(state, loss).tolist()
+    e_p = 0.5 * (x_a + x_b)
+    e_m = 0.5 * (x_a - x_b)
     return FisherMatrix(
-        f_pp=4.0 * (e_pp - e_p * e_p),
-        f_mm=4.0 * (e_mm - e_m * e_m),
-        f_pm=4.0 * (e_pm - e_p * e_m),
+        f_pp=(x_aa + 2.0 * x_ab + x_bb) - 4.0 * e_p * e_p,
+        f_mm=(x_aa - 2.0 * x_ab + x_bb) - 4.0 * e_m * e_m,
+        f_pm=(x_aa - x_bb) - 4.0 * e_p * e_m,
     )

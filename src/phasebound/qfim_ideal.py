@@ -104,6 +104,22 @@ def qfim_matrix(stats: ModeStatistics) -> FisherMatrix:
     )
 
 
+def _schur_terms(fm: FisherMatrix, target: Target) -> tuple[float, float]:
+    """(target diagonal, f_pm**2 / complementary diagonal), the Schur rule
+    shared by the bound and the overestimation: the second term is 0.0
+    when f_pm is zero within tolerance; SingularComplement when only the
+    complementary diagonal is."""
+    diag, comp = _split(fm, target)
+    tol = _tol(fm)
+    if abs(fm.f_pm) <= tol:
+        return diag, 0.0
+    if comp <= tol:
+        raise SingularComplement(
+            f"complementary diagonal {comp} is ~0 while |f_pm|={abs(fm.f_pm)} > tol"
+        )
+    return diag, fm.f_pm * fm.f_pm / comp
+
+
 def two_param_bound(fm: FisherMatrix, target: Target) -> float:
     """Schur complement of the matrix for the given target phase.
 
@@ -119,15 +135,8 @@ def two_param_bound(fm: FisherMatrix, target: Target) -> float:
         If the complementary diagonal is numerically zero while the
         off-diagonal element is not.
     """
-    diag, comp = _split(fm, target)
-    tol = _tol(fm)
-    if abs(fm.f_pm) <= tol:
-        return diag
-    if comp <= tol:
-        raise SingularComplement(
-            f"complementary diagonal {comp} is ~0 while |f_pm|={abs(fm.f_pm)} > tol"
-        )
-    return diag - fm.f_pm * fm.f_pm / comp
+    diag, shift = _schur_terms(fm, target)
+    return diag - shift
 
 
 def overestimation(fm: FisherMatrix, target: Target) -> float:
@@ -136,15 +145,7 @@ def overestimation(fm: FisherMatrix, target: Target) -> float:
     Zero exactly when the off-diagonal element is zero within
     tolerance; always >= 0.
     """
-    _, comp = _split(fm, target)
-    tol = _tol(fm)
-    if abs(fm.f_pm) <= tol:
-        return 0.0
-    if comp <= tol:
-        raise SingularComplement(
-            f"complementary diagonal {comp} is ~0 while |f_pm|={abs(fm.f_pm)} > tol"
-        )
-    return fm.f_pm * fm.f_pm / comp
+    return _schur_terms(fm, target)[1]
 
 
 def qcrb(

@@ -103,12 +103,6 @@ def c_matrix_two(stats: ModeStatistics, loss: TwoArmLoss) -> FisherMatrix:
     )
 
 
-def c_bound(cm: FisherMatrix, target: Target) -> float:
-    """Two-parameter bound from a lossy matrix (same Schur contract as
-    the ideal case; the two matrices share one structure)."""
-    return two_param_bound(cm, target)
-
-
 def gamma_opt_single(stats: ModeStatistics, eta_a: float, target: Target) -> float:
     """Analytic stationary point of the single-arm two-parameter bound.
 
@@ -150,7 +144,7 @@ def optimal_bound_single(stats: ModeStatistics, eta_a: float, target: Target) ->
     live in the tests as cross-checks).
     """
     gamma = gamma_opt_single(stats, eta_a, target)
-    return c_bound(c_matrix_single(stats, SingleArmLoss(eta_a, gamma)), target)
+    return two_param_bound(c_matrix_single(stats, SingleArmLoss(eta_a, gamma)), target)
 
 
 def limit_bound_single(
@@ -216,7 +210,7 @@ def c_bound_two_symmetric(
     loss matters.
     """
     loss = TwoArmLoss(eta_a=eta, eta_b=eta, gamma_a=gamma, gamma_b=gamma)
-    return c_bound(c_matrix_two(stats, loss), target)
+    return two_param_bound(c_matrix_two(stats, loss), target)
 
 
 def high_loss_two_arm(

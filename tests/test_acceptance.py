@@ -21,7 +21,6 @@ from phasebound import (
     SplitterSpec,
     Target,
     TwoArmLoss,
-    c_bound,
     c_matrix_single,
     c_matrix_two,
     derived_correlations,
@@ -617,7 +616,7 @@ def test_criterion_10_stationarity():
     points = _filtered_optimum_points()
     for stats, target, _family, eta, gamma in points:
         def bound_at(g):
-            return c_bound(c_matrix_single(stats, SingleArmLoss(eta, g)), target)
+            return two_param_bound(c_matrix_single(stats, SingleArmLoss(eta, g)), target)
 
         deriv = (bound_at(gamma + step) - bound_at(gamma - step)) / (2.0 * step)
         worst = max(worst, abs(deriv) / bound_at(gamma))

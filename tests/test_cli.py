@@ -363,6 +363,25 @@ def test_main_rejects_malformed_json(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "document, reason",
+    [
+        ([1, 2], "configuration must be a JSON object"),
+        ("x", "configuration must be a JSON object"),
+        (None, "configuration must be a JSON object"),
+        ({**SU2_LOSSLESS, "cutoff": None}, "cutoff must be an integer"),
+        ({**SU2_LOSSLESS, "cutoff": [64]}, "cutoff must be an integer"),
+        ({**SU2_LOSSLESS, "cutoff": math.inf}, "cutoff must be an integer"),
+    ],
+    ids=["list", "string", "null", "cutoff-null", "cutoff-list", "cutoff-inf"],
+)
+def test_main_rejects_non_object_config_and_bad_cutoff(tmp_path, capsys, document, reason):
+    path = _write_config(tmp_path, document)
+    for command in ("point", "oracle-check"):
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        assert f"invalid configuration: {reason}" in capsys.readouterr().err
+
+
 def test_main_rejects_unknown_config_key(tmp_path, capsys):
     document = dict(SU2_LOSSLESS)
     document["sweeps"] = 3

@@ -1,5 +1,6 @@
 """Truncated-Fock verification engine against the closed forms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from phasebound import (
     CutoffTooSmall,
+    FisherMatrix,
     InterferometerInput,
     ModeStatistics,
     SingleArmLoss,
@@ -182,6 +184,9 @@ def test_kraus_completeness_sums_to_norm():
         assert total == pytest.approx(norm_sq, abs=1e-10)
     total = kraus_completeness(state, TwoArmLoss(0.4, 0.7, 0.0, 0.0))
     assert total == pytest.approx(norm_sq, abs=1e-10)
+    for eta_a, eta_b in itertools.product((0.0, 1.0, 0.4), repeat=2):
+        total = kraus_completeness(state, TwoArmLoss(eta_a, eta_b, -0.5, 1.5))
+        assert total == pytest.approx(norm_sq, abs=1e-10)
 
 
 def test_kraus_lossless_reproduces_derivative_qfim():
@@ -212,3 +217,102 @@ def test_kraus_two_arm_matches_closed_matrix():
     stats = measure_moments(state)
     loss = TwoArmLoss(0.6, 0.9, -0.3, -0.8)
     _matrix_close(kraus_sum_cij(state, loss), c_matrix_two(stats, loss), 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# reference: the branch-by-branch loop the factorised engine replaced
+
+
+def _reference_loss_weights(cutoff, eta):
+    """W[l, k] = C(k+l, l) (1-eta)^l eta^k, one lgamma per entry."""
+    d = cutoff + 1
+    w = np.zeros((d, d))
+    if eta == 0.0:
+        w[:, 0] = 1.0
+        return w
+    if eta == 1.0:
+        w[0, :] = 1.0
+        return w
+    for l in range(d):
+        for k in range(d - l):
+            log_comb = math.lgamma(k + l + 1) - math.lgamma(l + 1) - math.lgamma(k + 1)
+            w[l, k] = math.exp(log_comb + l * math.log1p(-eta) + k * math.log(eta))
+    return w
+
+
+def _reference_kraus_sum_cij(state, loss):
+    """Slow reference: loops over every loss branch (l_a, or l_a and l_b)
+    and sums D_± and their products on the kept grid."""
+    prob = np.abs(state.amplitudes) ** 2
+    n = np.arange(state.cutoff + 1.0)
+    e_p = e_m = e_pp = e_mm = e_pm = 0.0
+    if isinstance(loss, SingleArmLoss):
+        w = _reference_loss_weights(state.cutoff, loss.eta_a)
+        for l_a in range(state.cutoff + 1):
+            kept = state.cutoff + 1 - l_a
+            branch = prob[l_a:, :] * w[l_a, :kept][:, None]
+            n_kept = n[:kept][:, None]
+            m = n[None, :]
+            d_m = 0.5 * (n_kept - m - loss.gamma * l_a)
+            d_p = 0.5 * (n_kept + m - loss.gamma * l_a)
+            e_p += float((branch * d_p).sum())
+            e_m += float((branch * d_m).sum())
+            e_pp += float((branch * d_p * d_p).sum())
+            e_mm += float((branch * d_m * d_m).sum())
+            e_pm += float((branch * d_p * d_m).sum())
+    else:
+        w_a = _reference_loss_weights(state.cutoff, loss.eta_a)
+        w_b = _reference_loss_weights(state.cutoff, loss.eta_b)
+        for l_a in range(state.cutoff + 1):
+            kept_a = state.cutoff + 1 - l_a
+            n_kept = n[:kept_a][:, None]
+            row = prob[l_a:, :] * w_a[l_a, :kept_a][:, None]
+            for l_b in range(state.cutoff + 1):
+                kept_b = state.cutoff + 1 - l_b
+                branch = row[:, l_b:] * w_b[l_b, :kept_b][None, :]
+                m_kept = n[:kept_b][None, :]
+                d_m = 0.5 * (n_kept - m_kept - loss.gamma_a * l_a + loss.gamma_b * l_b)
+                d_p = 0.5 * (n_kept + m_kept - loss.gamma_a * l_a - loss.gamma_b * l_b)
+                e_p += float((branch * d_p).sum())
+                e_m += float((branch * d_m).sum())
+                e_pp += float((branch * d_p * d_p).sum())
+                e_mm += float((branch * d_m * d_m).sum())
+                e_pm += float((branch * d_p * d_m).sum())
+    return FisherMatrix(
+        f_pp=4.0 * (e_pp - e_p * e_p),
+        f_mm=4.0 * (e_mm - e_m * e_m),
+        f_pm=4.0 * (e_pm - e_p * e_m),
+    )
+
+
+_REFERENCE_LOSSES = [
+    SingleArmLoss(0.6, -0.3),
+    SingleArmLoss(0.0, 0.4),  # opaque arm a
+    SingleArmLoss(0.5, -1.0),  # gamma = -1
+    TwoArmLoss(1.0, 0.6, -0.3, -0.5),  # mirror: loss on arm b only
+    TwoArmLoss(0.0, 0.7, 0.2, -0.4),  # opaque arm a
+    TwoArmLoss(0.7, 0.0, -0.6, 0.3),  # opaque arm b
+    TwoArmLoss(0.5, 0.8, -1.0, -1.0),  # gamma = -1 on both arms
+    TwoArmLoss(0.6, 0.9, -0.3, 1.7),  # unequal gammas
+]
+
+
+@pytest.fixture(scope="module", params=["lbs", "nbs"])
+def small_state(request):
+    if request.param == "lbs":
+        return apply_splitter(prepare_input(1.5, 0.4, 24), SplitterSpec.lbs(0.7))
+    return apply_splitter(prepare_input(1.0, 0.3, 16), SplitterSpec.nbs(1.1))
+
+
+@pytest.mark.parametrize("loss", _REFERENCE_LOSSES, ids=repr)
+def test_kraus_sum_matches_branch_loop_reference(small_state, loss):
+    expected = _reference_kraus_sum_cij(small_state, loss)
+    _matrix_close(kraus_sum_cij(small_state, loss), expected, 1e-12)
+
+
+@pytest.mark.parametrize("gamma_b", [-1.0, 0.0, 2.5, -40.0])
+def test_single_arm_loss_is_two_arm_loss_with_lossless_arm_b(small_state, gamma_b):
+    single = SingleArmLoss(0.6, -0.3)
+    two = TwoArmLoss(0.6, 1.0, -0.3, gamma_b)
+    assert kraus_sum_cij(small_state, single) == kraus_sum_cij(small_state, two)
+    assert kraus_completeness(small_state, single) == kraus_completeness(small_state, two)

@@ -31,7 +31,6 @@ from phasebound import (
     TwoArmIndependent,
     TwoArmLoss,
     TwoArmSymmetric,
-    c_bound,
     c_matrix_single,
     c_matrix_two,
     gamma_opt_single,
@@ -226,7 +225,7 @@ def test_single_arm_lossless_is_flat_and_ideal():
 
 def test_single_arm_result_reproduces_matrix_value():
     result = optimize_gamma(SU11_STATS, SingleArm(0.4), Target.PHASE_SUM)
-    direct = c_bound(
+    direct = two_param_bound(
         c_matrix_single(SU11_STATS, SingleArmLoss(0.4, result.argmin)), Target.PHASE_SUM
     )
     assert result.minimum == direct
@@ -286,7 +285,7 @@ def test_two_arm_independent_frozen_point():
     assert gamma_a == pytest.approx(1.9700564846151851, abs=1e-5)
     assert gamma_b == pytest.approx(1.238969884981463, abs=1e-5)
     assert result.minimum == pytest.approx(13.14621166856805, rel=1e-9)
-    direct = c_bound(
+    direct = two_param_bound(
         c_matrix_two(SU11_STATS, TwoArmLoss(0.6, 0.8, gamma_a, gamma_b)), Target.PHASE_SUM
     )
     assert result.minimum == pytest.approx(direct, rel=1e-12)

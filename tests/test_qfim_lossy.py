@@ -17,7 +17,6 @@ from phasebound import (
     SplitterSpec,
     Target,
     TwoArmLoss,
-    c_bound,
     c_bound_two_symmetric,
     c_matrix_single,
     c_matrix_two,
@@ -142,7 +141,7 @@ def test_gamma_opt_is_stationary():
     step = 1e-6
 
     def bound(g):
-        return c_bound(c_matrix_single(SU2_STATS, SingleArmLoss(eta, g)), Target.PHASE_DIFFERENCE)
+        return two_param_bound(c_matrix_single(SU2_STATS, SingleArmLoss(eta, g)), Target.PHASE_DIFFERENCE)
 
     deriv = (bound(gamma + step) - bound(gamma - step)) / (2.0 * step)
     assert abs(deriv) <= 1e-4 * bound(gamma)
@@ -158,7 +157,7 @@ def test_optimal_bound_below_every_gamma_sample():
     eta = 0.3
     best = optimal_bound_single(SU11_STATS, eta, Target.PHASE_SUM)
     for gamma in [-1.4, -1.0, -0.5, 0.0, 0.3, 0.5, 1.0, 2.0]:
-        value = c_bound(c_matrix_single(SU11_STATS, SingleArmLoss(eta, gamma)), Target.PHASE_SUM)
+        value = two_param_bound(c_matrix_single(SU11_STATS, SingleArmLoss(eta, gamma)), Target.PHASE_SUM)
         assert best <= value * (1.0 + 1e-12)
 
 
@@ -367,6 +366,6 @@ def test_lossy_schur_never_exceeds_diagonal(va, vb, jj, mean, eta, gamma):
     cm = c_matrix_single(stats, SingleArmLoss(eta, gamma))
     for target in Target:
         diag = cm.f_mm if target is Target.PHASE_DIFFERENCE else cm.f_pp
-        bound = c_bound(cm, target)
+        bound = two_param_bound(cm, target)
         assert bound <= diag * (1.0 + 1e-12) + 1e-30
         assert bound >= -1e-12 * max(cm.f_pp, cm.f_mm)
