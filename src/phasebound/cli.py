@@ -24,7 +24,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -32,14 +31,6 @@ from typing import Optional, TextIO, Union
 
 from . import __version__
 from .errors import DegenerateStatistics, PhaseboundError
-from .fock_oracle import (
-    apply_splitter,
-    derivative_qfim,
-    kraus_completeness,
-    kraus_sum_cij,
-    measure_moments,
-    prepare_input,
-)
 from .moments import (
     InterferometerInput,
     ModeStatistics,
@@ -174,6 +165,14 @@ def _parse_estimation(raw) -> EstimationMode:
     return mapping[raw]
 
 
+def _convert(kind, raw, field: str):
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{field} must be {what}, got {raw!r}") from None
+
+
 def load_spec(document: dict, repeats_override: Optional[int] = None) -> ScanSpec:
     """Build a ScanSpec from a configuration dictionary."""
     if not isinstance(document, dict):
@@ -199,11 +198,13 @@ def load_spec(document: dict, repeats_override: Optional[int] = None) -> ScanSpe
         rng = document.get("range")
         if not (isinstance(rng, (list, tuple)) and len(rng) == 3):
             raise ConfigError("range must be [start, stop, steps] when sweeping")
-        start, stop, steps = float(rng[0]), float(rng[1]), int(rng[2])
+        start = _convert(float, rng[0], "range start")
+        stop = _convert(float, rng[1], "range stop")
+        steps = _convert(int, rng[2], "range steps")
     fixed = document.get("fixed", {})
     if not isinstance(fixed, dict):
         raise ConfigError("fixed must be an object of name -> value")
-    repeats = int(document.get("repeats", 1))
+    repeats = _convert(int, document.get("repeats", 1), "repeats")
     if repeats_override is not None:
         repeats = repeats_override
     return ScanSpec(
@@ -212,7 +213,7 @@ def load_spec(document: dict, repeats_override: Optional[int] = None) -> ScanSpe
         ),
         estimation=_parse_estimation(document["estimation"]),
         loss=_parse_enum(LossKind, document["loss"], "loss"),
-        fixed={str(k): float(v) for k, v in fixed.items()},
+        fixed={str(k): _convert(float, v, f"fixed {k}") for k, v in fixed.items()},
         swept_variable=swept,
         start=start,
         stop=stop,
@@ -350,17 +351,16 @@ def _format_cell(value) -> str:
 
 
 def run_scan(spec: ScanSpec, output_path: str, jobs: int = 1) -> None:
-    """Write one CSV row per sweep point plus a metadata JSON."""
+    """Write one CSV row per sweep point plus a metadata JSON.
+
+    Rows are computed in one thread; `jobs` is kept for compatibility.
+    """
     if spec.swept_variable is None:
         raise ConfigError("scan requires swept_variable and range")
     step = (spec.stop - spec.start) / (spec.steps - 1)
     values = [spec.start + i * step for i in range(spec.steps)]
     values[-1] = spec.stop
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda v: _guarded_record(spec, v), values))
-    else:
-        rows = [_guarded_record(spec, v) for v in values]
+    rows = [_guarded_record(spec, v) for v in values]
     with open(output_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -393,6 +393,29 @@ def run_scan(spec: ScanSpec, output_path: str, jobs: int = 1) -> None:
 # ---------------------------------------------------------------------------
 # oracle-check
 
+# the Fock engine is the package's only numpy user, so its names are bound
+# here on first use (PEP 562) and point and scan start without numpy
+_ORACLE_NAMES = (
+    "prepare_input apply_splitter measure_moments "
+    "derivative_qfim kraus_completeness kraus_sum_cij"
+).split()
+
+
+def _bind_oracle() -> None:
+    from . import fock_oracle
+
+    namespace = globals()
+    for name in _ORACLE_NAMES:
+        # a name already set (a wrapper installed by setattr) stays in place
+        namespace.setdefault(name, getattr(fock_oracle, name))
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        _bind_oracle()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _check_line(
     name: str, lhs: float, rhs: float, tol: float, lines: list, scale: float = 0.0
@@ -422,6 +445,7 @@ def oracle_check(
     closed = _stats_for(inp)
     lines: list[tuple[bool, str]] = []
 
+    _bind_oracle()  # the oracle names below resolve through the module globals
     state0 = prepare_input(inp.alpha_mag, inp.squeeze_r, cutoff)
     state = apply_splitter(state0, inp.splitter)
     oracle = measure_moments(state)
@@ -546,11 +570,7 @@ def _read_config(path: str) -> dict:
 
 
 def _pop_cutoff(document: dict) -> int:
-    raw = document.pop("cutoff", 64)
-    try:
-        return int(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"cutoff must be an integer, got {raw!r}") from None
+    return _convert(int, document.pop("cutoff", 64), "cutoff")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,7 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--repeats", type=int, default=None, metavar="M")
         if name == "scan":
             cmd.add_argument("--output", required=True, metavar="PATH")
-            cmd.add_argument("--jobs", type=int, default=1, metavar="N")
+            cmd.add_argument(
+                "--jobs",
+                type=int,
+                default=1,
+                metavar="N",
+                help="accepted for compatibility; rows are computed in one thread",
+            )
         if name == "point":
             cmd.add_argument("--output", default=None, metavar="PATH")
         if name == "oracle-check":

@@ -382,6 +382,29 @@ def test_main_rejects_non_object_config_and_bad_cutoff(tmp_path, capsys, documen
         assert f"invalid configuration: {reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "document, reason",
+    [
+        ({**SU2_LOSSLESS, "repeats": None}, "repeats must be an integer, got None"),
+        (
+            {**SU2_LOSSLESS, "fixed": {**SU2_LOSSLESS["fixed"], "alpha_photons": None}},
+            "fixed alpha_photons must be a number, got None",
+        ),
+        (
+            {**_eta_sweep_document(0.2, 0.8, 3), "range": [None, 1, 3]},
+            "range start must be a number, got None",
+        ),
+        ({**SU2_LOSSLESS, "repeats": math.inf}, "repeats must be an integer, got inf"),
+    ],
+    ids=["repeats-null", "fixed-null", "range-null", "repeats-inf"],
+)
+def test_main_rejects_null_config_values(tmp_path, capsys, document, reason):
+    path = _write_config(tmp_path, document)
+    for command in ("point", "oracle-check"):
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        assert f"invalid configuration: {reason}" in capsys.readouterr().err
+
+
 def test_main_rejects_unknown_config_key(tmp_path, capsys):
     document = dict(SU2_LOSSLESS)
     document["sweeps"] = 3

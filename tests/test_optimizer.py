@@ -5,6 +5,7 @@ before the exact minimizers; it stays here as a reference oracle that
 knows nothing about the structure of the bound.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -648,3 +649,58 @@ def test_importing_the_cli_does_not_load_scipy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = "import sys, phasebound.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _run_without_install(code: str) -> None:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    _run_without_install(
+        "import sys, phasebound.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    )
+
+
+def test_point_and_scan_run_without_numpy_or_scipy(tmp_path):
+    # one lossless, one-arm and two-arm spec each, so the optimizer runs too
+    fixed = {"alpha_photons": 4.0, "squeeze_r": 0.5, "gain": 1.2, "eta": 0.6}
+    argvs = []
+    for loss in ("None", "OneArm", "TwoArm"):
+        document = {"interferometer": "SU11", "estimation": "TwoParameter", "loss": loss}
+        point = tmp_path / f"point-{loss}.json"
+        point.write_text(json.dumps({**document, "fixed": fixed}))
+        argvs.append(["point", "--config", str(point), "--output", str(point) + ".out"])
+        sweep = {**document, "swept_variable": "gain", "range": [1.1, 1.5, 3]}
+        scan = tmp_path / f"scan-{loss}.json"
+        scan.write_text(json.dumps({**sweep, "fixed": fixed}))
+        argvs.append(["scan", "--config", str(scan), "--output", str(scan) + ".csv"])
+    _run_without_install(
+        "import sys\n"
+        "from phasebound import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "loaded = {'numpy', 'scipy'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    assert len(list(tmp_path.glob("*.csv"))) == 3
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "prepare_input",
+        "apply_splitter",
+        "measure_moments",
+        "derivative_qfim",
+        "kraus_completeness",
+        "kraus_sum_cij",
+    ],
+)
+def test_cli_oracle_names_are_the_fock_engine_functions(name):
+    # the benchmark's probes patch these names in the CLI namespace
+    from phasebound import cli, fock_oracle
+
+    assert getattr(cli, name) is getattr(fock_oracle, name)
