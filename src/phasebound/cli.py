@@ -166,10 +166,15 @@ def _parse_estimation(raw) -> EstimationMode:
 
 
 def _convert(kind, raw, field: str):
+    what = "an integer" if kind is int else "a number"
+    # int() would read true as 1 and truncate 2.7 to 2
+    if isinstance(raw, bool) or (
+        kind is int and isinstance(raw, float) and not raw.is_integer()
+    ):
+        raise ConfigError(f"{field} must be {what}, got {raw!r}")
     try:
         return kind(raw)
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{field} must be {what}, got {raw!r}") from None
 
 
@@ -430,11 +435,12 @@ def oracle_check(
     spec: ScanSpec,
     cutoff: int = 64,
     tolerance: Optional[float] = None,
-    out: TextIO = sys.stdout,
+    out: Optional[TextIO] = None,
 ) -> bool:
     """Compare closed forms against the Fock engine at one point.
 
-    Prints one line per identity and returns overall success. The
+    Prints one line per identity to `out` (the current standard output
+    when None) and returns overall success. The
     moment and matrix identities use `tolerance` when given, falling
     back to 1e-6 for moment-level and 1e-8 for Kraus-level checks.
     """
@@ -570,7 +576,10 @@ def _read_config(path: str) -> dict:
 
 
 def _pop_cutoff(document: dict) -> int:
-    return _convert(int, document.pop("cutoff", 64), "cutoff")
+    cutoff = _convert(int, document.pop("cutoff", 64), "cutoff")
+    if cutoff < 1:
+        raise ConfigError(f"cutoff must be a positive integer, got {cutoff}")
+    return cutoff
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,6 @@
 """Configuration handling, sweep output, and CLI exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -385,6 +386,50 @@ def test_main_rejects_non_object_config_and_bad_cutoff(tmp_path, capsys, documen
 @pytest.mark.parametrize(
     "document, reason",
     [
+        ({**SU2_LOSSLESS, "cutoff": 2.7}, "cutoff must be an integer, got 2.7"),
+        ({**SU2_LOSSLESS, "cutoff": True}, "cutoff must be an integer, got True"),
+        ({**SU2_LOSSLESS, "cutoff": 0}, "cutoff must be a positive integer, got 0"),
+        ({**SU2_LOSSLESS, "cutoff": -3}, "cutoff must be a positive integer, got -3"),
+        ({**SU2_LOSSLESS, "repeats": 1.5}, "repeats must be an integer, got 1.5"),
+        ({**SU2_LOSSLESS, "repeats": True}, "repeats must be an integer, got True"),
+        (
+            {**_eta_sweep_document(0.2, 0.8, 3), "range": [0.2, 0.8, 3.5]},
+            "range steps must be an integer, got 3.5",
+        ),
+        (
+            {**SU2_LOSSLESS, "fixed": {**SU2_LOSSLESS["fixed"], "squeeze_r": False}},
+            "fixed squeeze_r must be a number, got False",
+        ),
+    ],
+    ids=[
+        "cutoff-fraction",
+        "cutoff-bool",
+        "cutoff-zero",
+        "cutoff-negative",
+        "repeats-fraction",
+        "repeats-bool",
+        "steps-fraction",
+        "fixed-bool",
+    ],
+)
+def test_main_rejects_non_integer_counts_and_nonpositive_cutoff(
+    tmp_path, capsys, document, reason
+):
+    path = _write_config(tmp_path, document)
+    for command in ("point", "oracle-check"):
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        assert f"invalid configuration: {reason}" in capsys.readouterr().err
+
+
+def test_integral_floats_are_accepted_as_counts():
+    spec = load_spec({**_eta_sweep_document(0.2, 0.8, 3.0), "repeats": 2.0})
+    assert (spec.steps, spec.repeats) == (3, 2)
+    assert isinstance(spec.steps, int) and isinstance(spec.repeats, int)
+
+
+@pytest.mark.parametrize(
+    "document, reason",
+    [
         ({**SU2_LOSSLESS, "repeats": None}, "repeats must be an integer, got None"),
         (
             {**SU2_LOSSLESS, "fixed": {**SU2_LOSSLESS["fixed"], "alpha_photons": None}},
@@ -440,6 +485,23 @@ def test_main_scan_roundtrip(tmp_path):
     assert code == EXIT_OK
     assert out.exists()
     assert (tmp_path / "scan.csv.meta.json").exists()
+
+
+def test_main_oracle_check_report_follows_redirected_stdout(tmp_path, capsys):
+    document = {
+        "interferometer": "SU2",
+        "estimation": "TwoParameter",
+        "loss": "None",
+        "cutoff": 24,
+        "fixed": {"alpha_photons": 1.0, "squeeze_r": 0.3, "splitter_ratio": 0.5},
+    }
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(["oracle-check", "--config", _write_config(tmp_path, document)])
+    assert code == EXIT_OK
+    assert "[PASS] moments.mean_a" in buffer.getvalue()
+    assert "oracle-check: all identities hold (cutoff 24" in buffer.getvalue()
+    assert capsys.readouterr().out == ""
 
 
 def test_main_oracle_check_cutoff_refusal(tmp_path, capsys):

@@ -12,6 +12,7 @@ from phasebound import (
     InterferometerInput,
     ModeStatistics,
     SingleArmLoss,
+    SplitterKind,
     SplitterSpec,
     TwoArmLoss,
     c_matrix_single,
@@ -22,6 +23,8 @@ from phasebound import (
 )
 from phasebound.fock_oracle import (
     TruncatedState,
+    _bessel_series,
+    _evolve,
     apply_splitter,
     derivative_qfim,
     kraus_completeness,
@@ -135,6 +138,116 @@ def test_nbs_refuses_when_grid_tops_out():
     state = prepare_input(5.0, 1.2, 120)
     with pytest.raises(CutoffTooSmall, match="working grid"):
         apply_splitter(state, SplitterSpec.nbs(2.5))
+
+
+# ---------------------------------------------------------------------------
+# reference: the sparse generator and expm_multiply the propagator replaced
+
+
+def _reference_evolve(amplitudes, kind, angle):
+    sparse_linalg = pytest.importorskip("scipy.sparse.linalg")
+    from scipy.sparse import coo_matrix
+
+    d = amplitudes.shape[0]
+    cutoff = d - 1
+    na, nb = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    if kind is SplitterKind.LBS:
+        mask = (na < cutoff) & (nb > 0)  # a†b reaches (n_a+1, n_b-1)
+        rows = (na[mask] + 1) * d + (nb[mask] - 1)
+        vals = np.sqrt((na[mask] + 1.0) * nb[mask])
+    else:
+        mask = (na < cutoff) & (nb < cutoff)  # a†b† reaches (n_a+1, n_b+1)
+        rows = (na[mask] + 1) * d + (nb[mask] + 1)
+        vals = np.sqrt((na[mask] + 1.0) * (nb[mask] + 1.0))
+    cols = na[mask] * d + nb[mask]
+    gen = coo_matrix(
+        (
+            np.concatenate([vals, vals]),
+            (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
+        ),
+        shape=(d * d, d * d),
+    ).tocsr()
+    return sparse_linalg.expm_multiply(1j * angle * gen, amplitudes.reshape(-1)).reshape(d, d)
+
+
+def _dense_generator(d, kind):
+    """K on the flattened grid, entry by entry."""
+    gen = np.zeros((d * d, d * d))
+    for i, j in itertools.product(range(d - 1), range(d)):
+        if kind is SplitterKind.LBS and j > 0:  # a†b: (i, j) -> (i+1, j-1)
+            gen[(i + 1) * d + j - 1, i * d + j] = math.sqrt((i + 1) * j)
+        if kind is SplitterKind.NBS and j < d - 1:  # a†b†: (i, j) -> (i+1, j+1)
+            gen[(i + 1) * d + j + 1, i * d + j] = math.sqrt((i + 1) * (j + 1))
+    return gen + gen.T
+
+
+def _random_grid(d, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return amp / np.linalg.norm(amp)
+
+
+@pytest.mark.parametrize(
+    "kind, d, angle",
+    [
+        (SplitterKind.LBS, 9, 0.3),
+        (SplitterKind.LBS, 33, math.acos(math.sqrt(0.7))),
+        (SplitterKind.LBS, 65, 1.4),
+        (SplitterKind.NBS, 33, 0.05),
+        (SplitterKind.NBS, 65, math.acosh(1.2)),
+        (SplitterKind.NBS, 97, math.acosh(1.5)),
+    ],
+)
+def test_evolve_matches_expm_multiply_reference(kind, d, angle):
+    amp = _random_grid(d, seed=d)
+    expected = _reference_evolve(amp, kind, angle)
+    assert np.max(np.abs(_evolve(amp, kind, angle) - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", [SplitterKind.LBS, SplitterKind.NBS])
+@pytest.mark.parametrize("d", [2, 5, 12])
+@pytest.mark.parametrize("angle", [1e-6, 0.4, 2.3])
+def test_evolve_matches_dense_eigendecomposition(kind, d, angle):
+    values, vectors = np.linalg.eigh(_dense_generator(d, kind))
+    amp = _random_grid(d, seed=7 * d)
+    expected = vectors @ (np.exp(1j * angle * values) * (vectors.T @ amp.reshape(-1)))
+    found = _evolve(amp, kind, angle).reshape(-1)
+    assert np.max(np.abs(found - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", [SplitterKind.LBS, SplitterKind.NBS])
+def test_evolve_group_law(kind):
+    amp = _random_grid(33, seed=3)
+    a, b = 0.37, 0.81
+    twice = _evolve(_evolve(amp, kind, a), kind, b)
+    assert np.max(np.abs(twice - _evolve(amp, kind, a + b))) <= 1e-13
+
+
+_BESSEL_ARGUMENTS = [1e-8, 0.3, 2.0, 17.3, 150.0, 640.0]
+
+
+@pytest.mark.parametrize("t", _BESSEL_ARGUMENTS)
+def test_bessel_series_matches_scipy(t):
+    special = pytest.importorskip("scipy.special")
+    series = np.array(_bessel_series(t))
+    k = np.arange(len(series))
+    # scipy's own error grows to ~1e-14 at t ~ 1e3
+    assert np.max(np.abs(series - special.jv(k, t))) <= 1e-13
+    # the series ends just before the first order past t below 1e-18
+    stop = next(k for k in itertools.count() if k > t and abs(special.jv(k, t)) < 1e-18)
+    assert len(series) == stop
+
+
+@pytest.mark.parametrize("t", _BESSEL_ARGUMENTS)
+def test_bessel_series_sum_rules(t):
+    j = np.array(_bessel_series(t))
+    signs = (-1.0) ** np.arange(len(j[0::2]))
+    assert j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2) == pytest.approx(1.0, abs=1e-13)
+    # exp(it) = J_0 + 2 sum i^k J_k (Jacobi-Anger at phi = 0)
+    assert j[0] + 2.0 * np.sum(signs[1:] * j[2::2]) == pytest.approx(math.cos(t), abs=1e-13)
+    assert 2.0 * np.sum(signs[: len(j[1::2])] * j[1::2]) == pytest.approx(
+        math.sin(t), abs=1e-13
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -688,6 +688,32 @@ def test_point_and_scan_run_without_numpy_or_scipy(tmp_path):
     assert len(list(tmp_path.glob("*.csv"))) == 3
 
 
+def test_oracle_check_runs_without_scipy(tmp_path):
+    # two lossy arms, so the splitter, the moments and the Kraus sums all run
+    fixed = {"alpha_photons": 1.0, "squeeze_r": 0.3, "eta": 0.6, "eta_b": 0.8}
+    argvs = []
+    for interferometer, splitter in (("SU2", {"splitter_ratio": 0.5}), ("SU11", {"gain": 1.1})):
+        config = tmp_path / f"oracle-{interferometer}.json"
+        document = {
+            "interferometer": interferometer,
+            "estimation": "TwoParameter",
+            "loss": "TwoArm",
+            "cutoff": 24,
+            "fixed": {**fixed, **splitter},
+        }
+        config.write_text(json.dumps(document))
+        argvs.append(["oracle-check", "--config", str(config)])
+    _run_without_install(
+        "import contextlib, io, sys\n"
+        "from phasebound import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "name",
     [
