@@ -9,7 +9,6 @@ closed form.
 """
 
 from .errors import (
-    AssumptionViolation,
     CutoffTooSmall,
     DegenerateStatistics,
     NonFiniteObjective,
@@ -46,22 +45,16 @@ from .qfim_ideal import (
     two_param_bound,
 )
 from .qfim_lossy import (
-    Regime,
     SingleArmLoss,
     TwoArmLoss,
-    c_bound_two_symmetric,
     c_matrix_single,
     c_matrix_two,
     gamma_opt_single,
-    high_loss_two_arm,
-    limit_bound_single,
-    optimal_bound_single,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionViolation",
     "Correlations",
     "CutoffTooSmall",
     "DegenerateStatistics",
@@ -75,7 +68,6 @@ __all__ = [
     "OptimizationResult",
     "PhaseboundError",
     "PrecisionBound",
-    "Regime",
     "SingleArm",
     "SingleArmLoss",
     "SingularComplement",
@@ -85,16 +77,12 @@ __all__ = [
     "TwoArmIndependent",
     "TwoArmLoss",
     "TwoArmSymmetric",
-    "c_bound_two_symmetric",
     "c_matrix_single",
     "c_matrix_two",
     "derived_correlations",
     "gamma_opt_single",
-    "high_loss_two_arm",
     "lbs_moments",
-    "limit_bound_single",
     "nbs_moments",
-    "optimal_bound_single",
     "optimize_gamma",
     "overestimation",
     "qcrb",

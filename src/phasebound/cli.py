@@ -461,6 +461,8 @@ def oracle_check(
         prepare_input(inp.alpha_mag, inp.squeeze_r, 2 * cutoff), inp.splitter
     )
     oracle_big = measure_moments(state_big)
+    # absolute floor, so a moment that is exactly 0 is not judged on round-off
+    moment_scale = max(abs(oracle.mean_a), abs(oracle.mean_b), 1.0)
     for field in ("mean_a", "mean_b", "var_a", "var_b", "cov"):
         _check_line(
             f"cutoff_convergence.{field}",
@@ -468,7 +470,7 @@ def oracle_check(
             getattr(oracle_big, field),
             moment_tol,
             lines,
-            scale=max(abs(oracle.mean_a), abs(oracle.mean_b), 1.0),
+            scale=moment_scale,
         )
         _check_line(
             f"moments.{field}",
@@ -476,6 +478,7 @@ def oracle_check(
             getattr(oracle, field),
             moment_tol,
             lines,
+            scale=moment_scale,
         )
     corr_closed = derived_correlations(closed)
     corr_oracle = derived_correlations(oracle)

@@ -33,12 +33,3 @@ class CutoffTooSmall(PhaseboundError):
 class NonFiniteObjective(PhaseboundError):
     """The gamma optimizer evaluated a bound to NaN or infinity."""
 
-
-class AssumptionViolation(PhaseboundError, UserWarning):
-    """The inputs fall outside a closed form's stated regime of validity.
-
-    Used both ways: raised as an exception for hard domain violations
-    (e.g. eta = 1 in the high-loss forms, whose derivation assumes loss)
-    and issued via ``warnings.warn`` when statistics merely miss the
-    soft regime gates (approximately equal variances, |J| near 1).
-    """

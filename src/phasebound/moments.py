@@ -61,21 +61,10 @@ class SplitterSpec:
         return self.value
 
     @property
-    def reflectivity(self) -> float:
-        # R = 1 - T exactly
-        return 1.0 - self.transmissivity
-
-    @property
     def gain(self) -> float:
         if self.kind is not SplitterKind.NBS:
             raise ValueError("gain is an NBS parameter")
         return self.value
-
-    @property
-    def gain_squared_minus_one(self) -> float:
-        """g**2 with G**2 - g**2 = 1."""
-        g = self.gain
-        return g * g - 1.0
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from phasebound import (
     gamma_opt_single,
     lbs_moments,
     nbs_moments,
-    optimal_bound_single,
     optimize_gamma,
     overestimation,
     qfim_matrix,
@@ -215,7 +214,7 @@ def test_criterion_4_analytic_vs_numeric_optimum():
     worst_dg = worst_rel = 0.0
     for stats, target, family, eta, gamma in points:
         result = optimize_gamma(stats, SingleArm(eta), target)
-        bound = optimal_bound_single(stats, eta, target)
+        bound = two_param_bound(c_matrix_single(stats, SingleArmLoss(eta, gamma)), target)
         worst_dg = max(worst_dg, abs(result.argmin - gamma))
         worst_rel = max(worst_rel, abs(result.minimum - bound) / abs(bound))
         families_per_eta[eta].add(family)

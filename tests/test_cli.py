@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from phasebound.cli import (
     LossKind,
     ScanSpec,
     _format_cell,
+    _stats_for,
     load_spec,
     main,
     oracle_check,
@@ -502,6 +504,45 @@ def test_main_oracle_check_report_follows_redirected_stdout(tmp_path, capsys):
     assert "[PASS] moments.mean_a" in buffer.getvalue()
     assert "oracle-check: all identities hold (cutoff 24" in buffer.getvalue()
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "interferometer,splitter",
+    [("SU11", {"gain": 1.0}), ("SU2", {"splitter_ratio": 0.0})],
+)
+def test_main_oracle_check_passes_on_exactly_zero_moments(tmp_path, interferometer, splitter):
+    # unit gain leaves cov = 0 and a zero splitter ratio leaves arm b dark:
+    # closed forms of exactly 0 against oracle round-off ~1e-17
+    document = {
+        "interferometer": interferometer,
+        "estimation": "TwoParameter",
+        "loss": "None",
+        "cutoff": 24,
+        "fixed": {"alpha_photons": 1.0, "squeeze_r": 0.3, **splitter},
+    }
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(["oracle-check", "--config", _write_config(tmp_path, document)])
+    assert code == EXIT_OK, buffer.getvalue()
+    assert "[FAIL]" not in buffer.getvalue()
+
+
+@pytest.mark.parametrize("field", ["mean_a", "mean_b", "var_a", "var_b", "cov"])
+def test_oracle_check_fails_a_closed_moment_off_by_1e_3(monkeypatch, field):
+    def shifted(inp):
+        stats = _stats_for(inp)
+        return dataclasses.replace(stats, **{field: getattr(stats, field) + 1e-3})
+
+    monkeypatch.setattr("phasebound.cli._stats_for", shifted)
+    document = {
+        "interferometer": "SU11",
+        "estimation": "TwoParameter",
+        "loss": "None",
+        "fixed": {"alpha_photons": 1.0, "squeeze_r": 0.3, "gain": 1.0},
+    }
+    buffer = io.StringIO()
+    assert not oracle_check(load_spec(document), cutoff=24, out=buffer)
+    assert f"[FAIL] moments.{field}:" in buffer.getvalue()
 
 
 def test_main_oracle_check_cutoff_refusal(tmp_path, capsys):
