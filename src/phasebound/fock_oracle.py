@@ -7,11 +7,13 @@ sum over Kraus branches. A splitter generator K (a†b + ab†, or a†b† + ab
 for the amplifier) is a real shift on the grid, and exp(iθK) is applied
 by its Chebyshev expansion in Bessel coefficients (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)), with the spectrum of the truncated K
-bounded by Gershgorin's theorem; only numpy is needed. Each arm's
-branches (l of n photons lost, with binomial weight) are summed per
-initial photon number, and the two arms' sums are contracted with the
-photon-number distribution; single-arm loss is the same sum with arm b
-lossless. No closed-form binomial moment is used. Kept out of production paths; the test suite and the
+bounded by Gershgorin's theorem; only numpy is needed. K is real, so the
+recurrence runs in float64 and applies K as two shifted multiply-adds on
+the flattened grid. Each arm's branches (l of n photons lost, with
+binomial weight) are summed per initial photon number, and the two arms'
+sums are contracted with the photon-number distribution; single-arm loss
+is the same sum with arm b lossless. No closed-form binomial moment is
+used. Kept out of production paths; the test suite and the
 `oracle-check` CLI subcommand are the only consumers.
 
 A truncation subtlety drives the cutoff policy: the truncated splitter
@@ -129,38 +131,44 @@ def _evolve(amplitudes: np.ndarray, kind: SplitterKind, angle: float) -> np.ndar
     Chebyshev expansion exp(itX) = J_0(t) + 2 sum_k i^k J_k(t) T_k(X) with
     X = K/R and t = angle*R. R = 2(d - 1) bounds every row sum of the
     truncated K (Gershgorin), so the spectrum of X lies in [-1, 1] and
-    |T_k(X) psi| <= |psi|. Applying K takes two sliced multiply-adds.
+    |T_k(X) psi| <= |psi|. K is real, so the recurrence runs in float64 on
+    a real psi: the terms 2 i^k J_k T_k psi of even k (i^k = 1, -1 for k =
+    0, 2 mod 4) sum into the real part of the result, those of odd k
+    (i^k = i, -i for k = 1, 3 mod 4) into the imaginary part, and a complex
+    input is evolved as its real and imaginary parts. On the flattened
+    grid, applying K takes two contiguous multiply-adds, shifted by d - 1
+    for a†b and d + 1 for a†b†. The result is complex at every angle.
     """
     d = amplitudes.shape[0]
     if angle == 0.0:
-        return amplitudes.copy()
+        return amplitudes.astype(complex)
     radius = 2.0 * (d - 1)
     coeffs = _bessel_series(angle * radius)
-    # 2X has weight 2 sqrt((i+1)(j+1))/R between (i, j+1) and (i+1, j) for
-    # a†b, and between (i, j) and (i+1, j+1) for a†b†
-    weight = (2.0 / radius) * np.sqrt(np.outer(np.arange(1.0, d), np.arange(1.0, d)))
-    lo, hi = slice(None, -1), slice(1, None)
-    src, dst = (hi, lo) if kind is SplitterKind.LBS else (lo, hi)
-    tmp = np.empty((d - 1, d - 1), dtype=complex)
-
-    def step(cur: np.ndarray, prev: np.ndarray) -> None:
-        """prev <- 2X cur - prev, in place."""
-        np.negative(prev, out=prev)
-        np.multiply(weight, cur[lo, src], out=tmp)
-        prev[hi, dst] += tmp
-        np.multiply(weight, cur[hi, dst], out=tmp)
-        prev[lo, src] += tmp
-
-    prev = amplitudes.astype(complex)  # T_0
-    cur = np.zeros_like(prev)
-    step(prev, cur)
-    cur *= 0.5  # T_1 = X T_0
-    out = coeffs[0] * prev + 2j * coeffs[1] * cur
-    for k in range(2, len(coeffs)):
-        step(cur, prev)
+    # 2X moves (i, j) to (i+1, j-1) with weight 2 sqrt((i+1)j)/R for a†b, to
+    # (i+1, j+1) with 2 sqrt((i+1)(j+1))/R for a†b†, and back; 0 off the grid
+    lbs = kind is SplitterKind.LBS
+    shift = d - 1 if lbs else d + 1
+    i, j = np.divmod(np.arange(d * d - shift), d)
+    weight = (2.0 / radius) * np.sqrt((i + 1.0) * (j if lbs else (j + 1.0) * (j < d - 1)))
+    rows = [amplitudes.real, amplitudes.imag][: 2 if amplitudes.imag.any() else 1]
+    cur = np.array(rows, dtype=float).reshape(len(rows), -1)  # T_0
+    prev, tmp = np.zeros_like(cur), np.empty_like(cur)
+    head = tmp[:, :-shift]
+    sums = [coeffs[0] * cur, np.zeros_like(cur)]  # even k, odd k
+    for k in range(1, len(coeffs)):
+        # prev <- 2X cur - prev, negating prev within the first add
+        np.negative(prev[:, :shift], out=prev[:, :shift])
+        np.multiply(weight, cur[:, :-shift], out=head)
+        np.subtract(head, prev[:, shift:], out=prev[:, shift:])
+        np.multiply(weight, cur[:, shift:], out=head)
+        prev[:, :-shift] += head
         prev, cur = cur, prev
-        out += (2.0 * (1, 1j, -1, -1j)[k % 4] * coeffs[k]) * cur
-    return out
+        if k == 1:
+            cur *= 0.5  # T_1 = X T_0
+        np.multiply((2.0, -2.0)[k % 4 // 2] * coeffs[k], cur, out=tmp)
+        sums[k % 2] += tmp
+    out = sums[0] + 1j * sums[1]  # exp(itX) applied to each row
+    return (out[0] + 1j * out[1] if len(out) == 2 else out[0]).reshape(d, d)
 
 
 def _shell_mass(amplitudes: np.ndarray, width: int) -> float:

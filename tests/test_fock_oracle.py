@@ -171,14 +171,35 @@ def _reference_evolve(amplitudes, kind, angle):
 
 
 def _dense_generator(d, kind):
-    """K on the flattened grid, entry by entry."""
+    """K on the flattened grid, entry by entry. Both triangles are set in
+    place, so a 65² grid (4225² entries) touches only its nonzero pages."""
     gen = np.zeros((d * d, d * d))
     for i, j in itertools.product(range(d - 1), range(d)):
+        src = i * d + j
         if kind is SplitterKind.LBS and j > 0:  # a†b: (i, j) -> (i+1, j-1)
-            gen[(i + 1) * d + j - 1, i * d + j] = math.sqrt((i + 1) * j)
+            dst = (i + 1) * d + j - 1
+            gen[dst, src] = gen[src, dst] = math.sqrt((i + 1) * j)
         if kind is SplitterKind.NBS and j < d - 1:  # a†b†: (i, j) -> (i+1, j+1)
-            gen[(i + 1) * d + j + 1, i * d + j] = math.sqrt((i + 1) * (j + 1))
-    return gen + gen.T
+            dst = (i + 1) * d + j + 1
+            gen[dst, src] = gen[src, dst] = math.sqrt((i + 1) * (j + 1))
+    return gen
+
+
+def _dense_evolve(amplitudes, kind, angle):
+    """exp(i*angle*K) by eigendecomposing `_dense_generator` one conserved
+    sector at a time (n_a + n_b for a†b, n_a - n_b for a†b†), so that grids
+    of 65² stay cheap."""
+    d = amplitudes.shape[0]
+    gen = _dense_generator(d, kind)
+    na, nb = np.divmod(np.arange(d * d), d)
+    label = na + nb if kind is SplitterKind.LBS else na - nb
+    psi = amplitudes.reshape(-1)
+    out = np.zeros(d * d, dtype=complex)
+    for sector in np.unique(label):
+        idx = np.flatnonzero(label == sector)
+        values, vectors = np.linalg.eigh(gen[np.ix_(idx, idx)])
+        out[idx] = vectors @ (np.exp(1j * angle * values) * (vectors.T @ psi[idx]))
+    return out.reshape(d, d)
 
 
 def _random_grid(d, seed):
@@ -221,6 +242,68 @@ def test_evolve_group_law(kind):
     a, b = 0.37, 0.81
     twice = _evolve(_evolve(amp, kind, a), kind, b)
     assert np.max(np.abs(twice - _evolve(amp, kind, a + b))) <= 1e-13
+
+
+def _styled_grid(d, style, seed):
+    """A random grid as a real, imaginary or general complex input."""
+    rng = np.random.default_rng(seed)
+    re, im = rng.normal(size=(2, d, d)) / d
+    return {
+        "complex_real": re.astype(complex),  # the dtype prepare_input gives
+        "float": re,
+        "imaginary": 1j * im,
+        "mixed": re + 1j * im,
+    }[style]
+
+
+_STYLES = ["complex_real", "float", "imaginary", "mixed"]
+
+
+@pytest.mark.parametrize("style", _STYLES)
+@pytest.mark.parametrize("kind", [SplitterKind.LBS, SplitterKind.NBS])
+@pytest.mark.parametrize("d", [2, 5, 12])
+@pytest.mark.parametrize("angle", [0.4, 2.3])
+def test_evolve_real_and_imaginary_inputs_match_dense_generator(style, kind, d, angle):
+    amp = _styled_grid(d, style, seed=11 * d)
+    found = _evolve(amp, kind, angle)
+    assert found.dtype == complex
+    assert np.max(np.abs(found - _dense_evolve(amp, kind, angle))) <= 1e-13
+
+
+@pytest.mark.parametrize("style", _STYLES)
+@pytest.mark.parametrize(
+    "kind, d, angle",
+    [(SplitterKind.LBS, 65, 1.4), (SplitterKind.NBS, 97, math.acosh(1.5))],
+)
+def test_evolve_real_and_imaginary_inputs_match_expm_multiply(style, kind, d, angle):
+    amp = _styled_grid(d, style, seed=d)
+    expected = _reference_evolve(amp, kind, angle)
+    assert np.max(np.abs(_evolve(amp, kind, angle) - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", [SplitterKind.LBS, SplitterKind.NBS])
+@pytest.mark.parametrize("angle", [0.0, 0.4])
+def test_evolve_returns_complex_at_every_angle(kind, angle):
+    amp = _styled_grid(5, "float", seed=5)
+    found = _evolve(amp, kind, angle)
+    assert found.dtype == complex
+    if angle == 0.0:
+        assert np.array_equal(found, amp)
+
+
+@pytest.mark.parametrize(
+    "kind, d, angle",
+    [(SplitterKind.LBS, 33, math.acos(math.sqrt(0.7))), (SplitterKind.NBS, 65, math.acosh(1.2))],
+)
+def test_evolve_prepared_state_on_production_grids(kind, d, angle):
+    # the input oracle-check evolves: real amplitudes in a complex array, on
+    # the LBS grid of cutoff 32 and the NBS working grid it is padded into
+    amp = np.zeros((d, d), dtype=complex)
+    amp[:33, :33] = prepare_input(1.5, 0.4, 32).amplitudes
+    found = _evolve(amp, kind, angle)
+    assert np.max(np.abs(found - _dense_evolve(amp, kind, angle))) <= 1e-13
+    # the odd-k terms carry the imaginary part
+    assert np.linalg.norm(found.imag) > 0.1
 
 
 _BESSEL_ARGUMENTS = [1e-8, 0.3, 2.0, 17.3, 150.0, 640.0]
