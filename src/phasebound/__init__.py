@@ -37,7 +37,6 @@ from .optimizer import (
 from .qfim_ideal import (
     EstimationMode,
     FisherMatrix,
-    PrecisionBound,
     Target,
     overestimation,
     qcrb,
@@ -67,7 +66,6 @@ __all__ = [
     "NonpositiveInformation",
     "OptimizationResult",
     "PhaseboundError",
-    "PrecisionBound",
     "SingleArm",
     "SingleArmLoss",
     "SingularComplement",

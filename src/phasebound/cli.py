@@ -40,11 +40,17 @@ from .moments import (
     lbs_moments,
     nbs_moments,
 )
-from .optimizer import SingleArm, TwoArmIndependent, TwoArmSymmetric, optimize_gamma
+from .optimizer import (
+    LossFamily,
+    SingleArm,
+    TwoArmIndependent,
+    TwoArmSymmetric,
+    optimize_gamma,
+)
 from .qfim_ideal import (
     EstimationMode,
-    FisherMatrix,
     Target,
+    _split,
     overestimation,
     qcrb,
     qfim_matrix,
@@ -106,6 +112,11 @@ class LossKind(Enum):
 
 
 _SWEEPABLE = ("alpha_photons", "eta", "splitter_ratio", "gain")
+_FIXED_NAMES = (*_SWEEPABLE, "squeeze_r", "eta_b", "gamma", "gamma_b")
+_ESTIMATIONS = {
+    "SingleParameter": EstimationMode.SINGLE_PARAMETER,
+    "TwoParameter": EstimationMode.TWO_PARAMETER,
+}
 
 
 @dataclass(frozen=True)
@@ -154,15 +165,11 @@ def _parse_enum(kind, raw, field: str):
 
 
 def _parse_estimation(raw) -> EstimationMode:
-    mapping = {
-        "SingleParameter": EstimationMode.SINGLE_PARAMETER,
-        "TwoParameter": EstimationMode.TWO_PARAMETER,
-    }
-    if raw not in mapping:
+    if not isinstance(raw, str) or raw not in _ESTIMATIONS:
         raise ConfigError(
             f"estimation must be SingleParameter or TwoParameter, got {raw!r}"
         )
-    return mapping[raw]
+    return _ESTIMATIONS[raw]
 
 
 def _convert(kind, raw, field: str):
@@ -173,9 +180,13 @@ def _convert(kind, raw, field: str):
     ):
         raise ConfigError(f"{field} must be {what}, got {raw!r}")
     try:
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{field} must be {what}, got {raw!r}") from None
+    # json reads NaN, Infinity and 1e400; int() has refused them already
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{field} must be a finite number, got {raw!r}")
+    return value
 
 
 def load_spec(document: dict, repeats_override: Optional[int] = None) -> ScanSpec:
@@ -209,6 +220,9 @@ def load_spec(document: dict, repeats_override: Optional[int] = None) -> ScanSpe
     fixed = document.get("fixed", {})
     if not isinstance(fixed, dict):
         raise ConfigError("fixed must be an object of name -> value")
+    unknown = {str(k) for k in fixed} - set(_FIXED_NAMES)
+    if unknown:
+        raise ConfigError(f"unknown fixed parameters: {sorted(unknown)}")
     repeats = _convert(int, document.get("repeats", 1), "repeats")
     if repeats_override is not None:
         repeats = repeats_override
@@ -259,10 +273,6 @@ def _stats_for(inp: InterferometerInput) -> ModeStatistics:
     return nbs_moments(inp)
 
 
-def _diag(fm: FisherMatrix, target: Target) -> float:
-    return fm.f_mm if target is Target.PHASE_DIFFERENCE else fm.f_pp
-
-
 def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
     """Compute one output row; raises on invalid parameters."""
     fixed = dict(spec.fixed)
@@ -282,55 +292,39 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
     gamma_numeric: Union[None, float, tuple[float, float]] = None
     if spec.loss is LossKind.NONE:
         fm = qfim_matrix(stats)
-        info_single = _diag(fm, target)
+        info_single = _split(fm, target)[0]
         info_two = two_param_bound(fm, target)
-        delta = overestimation(fm, target)
-    elif spec.loss is LossKind.ONE_ARM:
-        eta = _require(fixed, "eta")
-        res_two = optimize_gamma(stats, SingleArm(eta), target)
-        res_single = optimize_gamma(
-            stats, SingleArm(eta), target, mode=EstimationMode.SINGLE_PARAMETER
-        )
-        gamma_numeric = res_two.argmin
-        fm = c_matrix_single(stats, SingleArmLoss(eta, res_two.argmin))
-        info_single, info_two = res_single.minimum, res_two.minimum
-        delta = overestimation(fm, target)
-        try:
-            gamma_analytic = gamma_opt_single(stats, eta, target)
-        except (ValueError, DegenerateStatistics):
-            gamma_analytic = None  # lossless edge or singular statistics
     else:
-        eta_a = _require(fixed, "eta")
-        eta_b = fixed.get("eta_b", eta_a)
-        if eta_b == eta_a:
-            family = TwoArmSymmetric(eta_a)
+        eta = _require(fixed, "eta")
+        eta_b = fixed.get("eta_b", eta)
+        if spec.loss is LossKind.ONE_ARM:
+            family: LossFamily = SingleArm(eta)
+            try:
+                gamma_analytic = gamma_opt_single(stats, eta, target)
+            except (ValueError, DegenerateStatistics):
+                pass  # lossless edge or singular statistics
+        elif eta_b == eta:
+            family = TwoArmSymmetric(eta)
         else:
-            family = TwoArmIndependent(eta_a, eta_b)
+            family = TwoArmIndependent(eta, eta_b)
         res_two = optimize_gamma(stats, family, target)
         res_single = optimize_gamma(
             stats, family, target, mode=EstimationMode.SINGLE_PARAMETER
         )
-        gamma_numeric = res_two.argmin
-        pair = res_two.argmin if isinstance(res_two.argmin, tuple) else (res_two.argmin,) * 2
-        fm = c_matrix_two(stats, TwoArmLoss(eta_a, eta_b, *pair))
+        fm, gamma_numeric = res_two.matrix, res_two.argmin
         info_single, info_two = res_single.minimum, res_two.minimum
-        delta = overestimation(fm, target)
 
     row["f_pp"], row["f_mm"], row["f_pm"] = fm.f_pp, fm.f_mm, fm.f_pm
     row["info_single"], row["info_two"] = info_single, info_two
-    row["delta_f"] = delta
+    row["delta_f"] = overestimation(fm, target)
     row["gamma_opt_analytic"] = gamma_analytic
     row["gamma_opt_numeric"] = gamma_numeric
     if spec.estimation is EstimationMode.SINGLE_PARAMETER:
         row["info_optimal"] = info_single
     else:
         row["info_optimal"] = info_two
-    row["qcrb_single"] = qcrb(
-        info_single, spec.repeats, mode=EstimationMode.SINGLE_PARAMETER, target=target
-    ).delta_phi
-    row["qcrb_two"] = qcrb(
-        info_two, spec.repeats, mode=EstimationMode.TWO_PARAMETER, target=target
-    ).delta_phi
+    row["qcrb_single"] = qcrb(info_single, spec.repeats)
+    row["qcrb_two"] = qcrb(info_two, spec.repeats)
     return row
 
 
@@ -375,9 +369,7 @@ def run_scan(spec: ScanSpec, output_path: str, jobs: int = 1) -> None:
         "library": {"name": "phasebound", "version": __version__},
         "spec": {
             "interferometer": spec.interferometer.value,
-            "estimation": "SingleParameter"
-            if spec.estimation is EstimationMode.SINGLE_PARAMETER
-            else "TwoParameter",
+            "estimation": next(k for k, v in _ESTIMATIONS.items() if v is spec.estimation),
             "loss": spec.loss.value,
             "swept_variable": spec.swept_variable,
             "range": [spec.start, spec.stop, spec.steps],
@@ -448,6 +440,8 @@ def oracle_check(
     kraus_tol = tolerance if tolerance is not None else _KRAUS_TOL
     fixed = dict(spec.fixed)
     inp, target = _build_input(spec, fixed)
+    if spec.loss is not LossKind.NONE:
+        _require(fixed, "eta")  # the kraus.* lines need it
     closed = _stats_for(inp)
     lines: list[tuple[bool, str]] = []
 

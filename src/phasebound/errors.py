@@ -21,7 +21,7 @@ class SingularComplement(PhaseboundError):
 
 
 class NonpositiveInformation(PhaseboundError):
-    """A Cramer-Rao bound was requested for information <= 0."""
+    """A Cramer-Rao bound was requested for information <= 0, +inf or NaN."""
 
 
 class CutoffTooSmall(PhaseboundError):

@@ -42,6 +42,7 @@ from typing import Union
 from .errors import NonFiniteObjective, SingularComplement
 from .moments import ModeStatistics
 from .qfim_ideal import EstimationMode, FisherMatrix, Target, qfim_matrix, two_param_bound
+from .qfim_ideal import _split
 from .qfim_lossy import SingleArmLoss, TwoArmLoss, c_matrix_single, c_matrix_two
 
 _FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
@@ -91,21 +92,23 @@ LossFamily = Union[SingleArm, TwoArmSymmetric, TwoArmIndependent]
 @dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of a gamma minimization: argmin is one gamma, or a
-    (gamma_a, gamma_b) pair for independent arms; evaluations counts
-    matrix-path bounds; converged is False only when the infimum is
-    approached as a gamma runs to infinity."""
+    (gamma_a, gamma_b) pair for independent arms; matrix is C at argmin,
+    the one minimum was read from; evaluations counts matrix-path bounds;
+    converged is False only when the infimum is approached as a gamma
+    runs to infinity."""
 
     argmin: Union[float, tuple[float, float]]
     minimum: float
     evaluations: int
     converged: bool
+    matrix: FisherMatrix
 
 
 def _bound_value(cm: FisherMatrix, target: Target, mode: EstimationMode) -> float:
     """The bound of one candidate; inf where it is not finite, or where the
     complement is under the kernel's zero threshold (tiny matrices)."""
     if mode is EstimationMode.SINGLE_PARAMETER:
-        value = cm.f_mm if target is Target.PHASE_DIFFERENCE else cm.f_pp
+        value = _split(cm, target)[0]
     else:
         try:
             value = two_param_bound(cm, target)
@@ -146,7 +149,7 @@ def _pair_argmin(
             a_a * a_b * j * sd_a * sd_b,
         )
         fm = qfim_matrix(ModeStatistics(stats.mean_a, stats.mean_b, *(x / det for x in m)))
-        comp = fm.f_pp if target is Target.PHASE_DIFFERENCE else fm.f_mm
+        comp = _split(fm, target)[1]
         t = -fm.f_pm / comp if comp > 0.0 else 0.0
     w_a, w_b = 1.0 + t, (1.0 - t if target is Target.PHASE_SUM else t - 1.0)
     v_a, v_b = sd_a * w_a, sd_b * w_b  # w in standard units
@@ -276,4 +279,6 @@ def optimize_gamma(
         if mode is EstimationMode.TWO_PARAMETER:
             two_param_bound(matrices[best], target)  # the kernel's own error, if it has one
         raise NonFiniteObjective(f"no finite bound at gamma in {gammas}")
-    return OptimizationResult(gammas[best], values[best], len(gammas), attained)
+    return OptimizationResult(
+        gammas[best], values[best], len(gammas), attained, matrices[best]
+    )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import NonpositiveInformation, SingularComplement
 from .moments import ModeStatistics
@@ -54,29 +53,6 @@ class FisherMatrix:
         det = self.f_pp * self.f_mm - self.f_pm * self.f_pm
         if det < -_PSD_SLACK * scale * scale:
             raise ValueError(f"matrix is not positive semidefinite: det={det}")
-
-
-@dataclass(frozen=True)
-class PrecisionBound:
-    """A Cramer-Rao bound together with its provenance."""
-
-    info: float
-    delta_phi: float
-    mode: Optional[EstimationMode]
-    target: Optional[Target]
-    repeats: int
-
-    def __post_init__(self) -> None:
-        if self.info < 0.0:
-            raise ValueError("information must be >= 0")
-        if self.delta_phi <= 0.0:
-            raise ValueError("delta_phi must be > 0")
-        if self.repeats < 1:
-            raise ValueError("repeats must be a positive integer")
-        if self.info > 0.0:
-            expected = 1.0 / math.sqrt(self.repeats * self.info)
-            if abs(self.delta_phi - expected) > 1e-12 * expected:
-                raise ValueError("delta_phi inconsistent with 1/sqrt(m*info)")
 
 
 def _tol(fm: FisherMatrix) -> float:
@@ -148,37 +124,18 @@ def overestimation(fm: FisherMatrix, target: Target) -> float:
     return _schur_terms(fm, target)[1]
 
 
-def qcrb(
-    info: float,
-    repeats: int = 1,
-    *,
-    mode: Optional[EstimationMode] = None,
-    target: Optional[Target] = None,
-) -> PrecisionBound:
-    """Cramer-Rao bound delta_phi = 1/sqrt(m * info).
-
-    Parameters
-    ----------
-    info:
-        Fisher information for the target parameter; must be > 0.
-    repeats:
-        Number of independent repetitions m.
-    mode, target:
-        Optional provenance carried on the returned bound.
+def qcrb(info: float, repeats: int = 1) -> float:
+    """Cramer-Rao bound delta_phi = 1/sqrt(m * info) for m = repeats.
 
     Raises
     ------
     NonpositiveInformation
-        If info <= 0.
+        If info is not a positive finite number (0, negative, +inf or NaN).
+    ValueError
+        If repeats < 1.
     """
-    if info <= 0.0:
+    if not 0.0 < info < math.inf:
         raise NonpositiveInformation(f"cannot form a precision bound from info={info}")
     if repeats < 1:
         raise ValueError("repeats must be a positive integer")
-    return PrecisionBound(
-        info=info,
-        delta_phi=1.0 / math.sqrt(repeats * info),
-        mode=mode,
-        target=target,
-        repeats=repeats,
-    )
+    return 1.0 / math.sqrt(repeats * info)

@@ -241,6 +241,7 @@ def test_run_scan_writes_pinned_header_and_rows(tmp_path):
     assert float(rows[-1][0]) == 0.9  # endpoint lands exactly on stop
     meta = json.loads((out.with_suffix(".csv.meta.json")).read_text())
     assert meta["spec"]["swept_variable"] == "eta"
+    assert meta["spec"]["estimation"] == "TwoParameter"
     assert "timestamp" in meta
 
 
@@ -457,6 +458,94 @@ def test_main_rejects_unknown_config_key(tmp_path, capsys):
     document["sweeps"] = 3
     code = main(["point", "--config", _write_config(tmp_path, document)])
     assert code == EXIT_CONFIG
+
+
+SU11_TWO_ARM = {**SU11_ONE_ARM, "loss": "TwoArm"}
+
+
+@pytest.mark.parametrize(
+    "overrides, fixed, reason",
+    [
+        (
+            {},
+            {"alpha_photons": math.nan},
+            "fixed alpha_photons must be a finite number, got nan",
+        ),
+        (
+            {"loss": "OneArm"},
+            {"squeeze_r": math.nan},
+            "fixed squeeze_r must be a finite number, got nan",
+        ),
+        (
+            {},
+            {"alpha_photons": "1e400"},
+            "fixed alpha_photons must be a finite number, got inf",
+        ),
+        ({}, {"eta": -math.inf}, "fixed eta must be a finite number, got -inf"),
+        (
+            {"swept_variable": "gain", "range": [math.nan, 1.3, 3]},
+            {},
+            "range start must be a finite number, got nan",
+        ),
+        (
+            {"swept_variable": "gain", "range": [1.1, "1e400", 3]},
+            {},
+            "range stop must be a finite number, got inf",
+        ),
+        (
+            {"estimation": [1]},
+            {},
+            "estimation must be SingleParameter or TwoParameter, got [1]",
+        ),
+        (
+            {"estimation": {}},
+            {},
+            "estimation must be SingleParameter or TwoParameter, got {}",
+        ),
+        ({}, {"etab": 0.3}, "unknown fixed parameters: ['etab']"),
+    ],
+    ids=[
+        "fixed-nan",
+        "fixed-nan-one-arm",
+        "fixed-1e400",
+        "fixed-negative-infinity",
+        "range-start-nan",
+        "range-stop-1e400",
+        "estimation-list",
+        "estimation-object",
+        "fixed-typo",
+    ],
+)
+def test_main_rejects_nonfinite_unhashable_and_unknown_values(
+    tmp_path, capsys, overrides, fixed, reason
+):
+    # json reads NaN, Infinity and 1e400; the string "1e400" stands for the literal
+    out = tmp_path / "scan.csv"
+    commands = (("point", []), ("oracle-check", []), ("scan", ["--output", str(out)]))
+    for command, extra in commands:
+        document = {**SU11_TWO_ARM, **overrides, "fixed": {**SU11_TWO_ARM["fixed"], **fixed}}
+        if command == "scan":
+            document.setdefault("swept_variable", "gain")
+            document.setdefault("range", [1.1, 1.3, 3])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document).replace('"1e400"', "1e400"))
+        assert main([command, "--config", str(path), *extra]) == EXIT_CONFIG, command
+        captured = capsys.readouterr()
+        assert f"invalid configuration: {reason}" in captured.err, command
+        assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loss", ["OneArm", "TwoArm"])
+def test_main_oracle_check_requires_eta_with_loss(tmp_path, capsys, loss):
+    # without eta there is no kraus.* line to run, which must not read as a pass
+    fixed = {k: v for k, v in SU11_ONE_ARM["fixed"].items() if k != "eta"}
+    document = {**SU11_ONE_ARM, "loss": loss, "cutoff": 16, "fixed": fixed}
+    code = main(["oracle-check", "--config", _write_config(tmp_path, document)])
+    assert code == EXIT_ORACLE
+    captured = capsys.readouterr()
+    assert "oracle failure: ConfigError: fixed parameter 'eta' is required" in captured.err
+    assert captured.out == ""
 
 
 def test_main_point_compute_failure(tmp_path, capsys):

@@ -311,6 +311,31 @@ def test_optimizer_reports_evaluation_count():
     assert lossless.evaluations == 1 and lossless.argmin == 0.0
 
 
+@pytest.mark.parametrize("mode", list(EstimationMode))
+@pytest.mark.parametrize(
+    "family, matrix_at",
+    [
+        (SingleArm(0.6), lambda g: c_matrix_single(SU11_STATS, SingleArmLoss(0.6, g))),
+        (TwoArmSymmetric(0.6), lambda g: c_matrix_two(SU11_STATS, TwoArmLoss(0.6, 0.6, g, g))),
+        (
+            TwoArmIndependent(0.6, 0.8),
+            lambda g: c_matrix_two(SU11_STATS, TwoArmLoss(0.6, 0.8, *g)),
+        ),
+    ],
+    ids=["single_arm", "two_arm_symmetric", "two_arm_independent"],
+)
+def test_result_matrix_is_c_at_the_argmin(family, matrix_at, mode):
+    # the CLI reports this matrix's elements and overestimation for the row
+    result = optimize_gamma(SU11_STATS, family, Target.PHASE_SUM, mode=mode)
+    expected = matrix_at(result.argmin)
+    for field in ("f_pp", "f_mm", "f_pm"):
+        assert getattr(result.matrix, field) == getattr(expected, field), field
+    if mode is TWO:
+        assert result.minimum == two_param_bound(result.matrix, Target.PHASE_SUM)
+    else:
+        assert result.minimum == result.matrix.f_pp
+
+
 # ---------------------------------------------------------------------------
 # the closed form for independent arms, re-derived step by step
 
@@ -736,7 +761,7 @@ PUBLIC_NAMES = {
     "Correlations", "CutoffTooSmall", "DegenerateStatistics", "EstimationMode",
     "FisherMatrix", "InterferometerInput", "LossFamily", "ModeStatistics",
     "NonFiniteObjective", "NonpositiveInformation", "OptimizationResult",
-    "PhaseboundError", "PrecisionBound", "SingleArm", "SingleArmLoss",
+    "PhaseboundError", "SingleArm", "SingleArmLoss",
     "SingularComplement", "SplitterKind", "SplitterSpec", "Target",
     "TwoArmIndependent", "TwoArmLoss", "TwoArmSymmetric", "c_matrix_single",
     "c_matrix_two", "derived_correlations", "gamma_opt_single", "lbs_moments",
@@ -749,7 +774,7 @@ def test_public_surface_is_pinned():
     # forms used only as test references live in the tests, not the package
     import phasebound
 
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
     assert set(phasebound.__all__) == PUBLIC_NAMES
     assert len(phasebound.__all__) == len(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
