@@ -13,8 +13,7 @@ Three subcommands:
     point and report each identity as a pass/fail line.
 
 Configuration is a single JSON document (file or standard input via
-``-``) with the keys described in ``--help``; command-line flags
-override the corresponding JSON fields.
+``-``) with the keys described in ``--help``.
 """
 
 from __future__ import annotations
@@ -100,6 +99,10 @@ class ConfigError(Exception):
     """Invalid or incomplete configuration document."""
 
 
+# the errors a row, a point or an oracle check reports instead of raising
+_CONTAINED = (PhaseboundError, ConfigError, ValueError)
+
+
 class Interferometer(Enum):
     SU2 = "SU2"
     SU11 = "SU11"
@@ -111,8 +114,17 @@ class LossKind(Enum):
     TWO_ARM = "TwoArm"
 
 
-_SWEEPABLE = ("alpha_photons", "eta", "splitter_ratio", "gain")
-_FIXED_NAMES = (*_SWEEPABLE, "squeeze_r", "eta_b", "gamma", "gamma_b")
+# the fixed names each interferometer and each loss model reads; eta_b,
+# gamma and gamma_b are optional, and squeeze_r is never swept
+_READS = {
+    Interferometer.SU2: ("alpha_photons", "squeeze_r", "splitter_ratio"),
+    Interferometer.SU11: ("alpha_photons", "squeeze_r", "gain"),
+    LossKind.NONE: (),
+    LossKind.ONE_ARM: ("eta",),
+    LossKind.TWO_ARM: ("eta",),
+}
+_OPTIONAL = ("eta_b", "gamma", "gamma_b")
+_FIXED_NAMES = {*_OPTIONAL, *(name for names in _READS.values() for name in names)}
 _ESTIMATIONS = {
     "SingleParameter": EstimationMode.SINGLE_PARAMETER,
     "TwoParameter": EstimationMode.TWO_PARAMETER,
@@ -123,10 +135,11 @@ _ESTIMATIONS = {
 class ScanSpec:
     """One sweep (or, with swept_variable=None, one point).
 
-    fixed holds every parameter not swept: alpha_photons (input mean
-    photon number |alpha|^2), squeeze_r, splitter_ratio (reflectivity
-    over transmissivity, SU2) or gain (SU11), eta and optionally eta_b
-    when loss is present.
+    fixed holds every name in _READS for the interferometer and the loss
+    model except the swept one: alpha_photons (input mean photon number
+    |alpha|^2), squeeze_r, splitter_ratio (reflectivity over
+    transmissivity, SU2) or gain (SU11), and eta when loss is present.
+    Construction checks this, and that the swept variable is one of them.
     """
 
     interferometer: Interferometer
@@ -140,12 +153,17 @@ class ScanSpec:
     repeats: int = 1
 
     def __post_init__(self) -> None:
+        reads = _READS[self.interferometer] + _READS[self.loss]
+        sweepable = tuple(name for name in reads if name != "squeeze_r")
+        if self.swept_variable not in (None, *sweepable):
+            raise ConfigError(
+                f"swept_variable must be one of {sweepable} for this spec, "
+                f"got {self.swept_variable!r}"
+            )
+        for name in reads:
+            if name not in self.fixed and name != self.swept_variable:
+                raise ConfigError(f"fixed parameter {name!r} is required for this spec")
         if self.swept_variable is not None:
-            if self.swept_variable not in _SWEEPABLE:
-                raise ConfigError(
-                    f"swept_variable must be one of {_SWEEPABLE}, "
-                    f"got {self.swept_variable!r}"
-                )
             if not self.start < self.stop:
                 raise ConfigError(
                     f"range start must be below stop, got [{self.start}, {self.stop}]"
@@ -181,6 +199,7 @@ def _convert(kind, raw, field: str):
         raise ConfigError(f"{field} must be {what}, got {raw!r}")
     try:
         value = kind(raw)
+        float(value)  # an integer beyond the float range overflows where it is used
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{field} must be {what}, got {raw!r}") from None
     # json reads NaN, Infinity and 1e400; int() has refused them already
@@ -189,7 +208,7 @@ def _convert(kind, raw, field: str):
     return value
 
 
-def load_spec(document: dict, repeats_override: Optional[int] = None) -> ScanSpec:
+def load_spec(document: dict) -> ScanSpec:
     """Build a ScanSpec from a configuration dictionary."""
     if not isinstance(document, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -220,12 +239,10 @@ def load_spec(document: dict, repeats_override: Optional[int] = None) -> ScanSpe
     fixed = document.get("fixed", {})
     if not isinstance(fixed, dict):
         raise ConfigError("fixed must be an object of name -> value")
-    unknown = {str(k) for k in fixed} - set(_FIXED_NAMES)
+    unknown = {str(k) for k in fixed} - _FIXED_NAMES
     if unknown:
         raise ConfigError(f"unknown fixed parameters: {sorted(unknown)}")
     repeats = _convert(int, document.get("repeats", 1), "repeats")
-    if repeats_override is not None:
-        repeats = repeats_override
     return ScanSpec(
         interferometer=_parse_enum(
             Interferometer, document["interferometer"], "interferometer"
@@ -241,28 +258,22 @@ def load_spec(document: dict, repeats_override: Optional[int] = None) -> ScanSpe
     )
 
 
-def _require(fixed: dict, key: str) -> float:
-    if key not in fixed:
-        raise ConfigError(f"fixed parameter {key!r} is required for this spec")
-    return fixed[key]
-
-
 def _build_input(
     spec: ScanSpec, fixed: dict
 ) -> tuple[InterferometerInput, Target]:
-    alpha_photons = _require(fixed, "alpha_photons")
+    alpha_photons = fixed["alpha_photons"]
     if alpha_photons < 0.0:
         raise ConfigError(f"alpha_photons must be non-negative, got {alpha_photons}")
     alpha = math.sqrt(alpha_photons)
-    squeeze_r = _require(fixed, "squeeze_r")
+    squeeze_r = fixed["squeeze_r"]
     if spec.interferometer is Interferometer.SU2:
-        ratio = _require(fixed, "splitter_ratio")
+        ratio = fixed["splitter_ratio"]
         if ratio < 0.0:
             raise ConfigError(f"splitter_ratio must be non-negative, got {ratio}")
         splitter = SplitterSpec.lbs(1.0 / (1.0 + ratio))
         target = Target.PHASE_DIFFERENCE
     else:
-        splitter = SplitterSpec.nbs(_require(fixed, "gain"))
+        splitter = SplitterSpec.nbs(fixed["gain"])
         target = Target.PHASE_SUM
     return InterferometerInput(alpha, squeeze_r, splitter), target
 
@@ -295,7 +306,7 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
         info_single = _split(fm, target)[0]
         info_two = two_param_bound(fm, target)
     else:
-        eta = _require(fixed, "eta")
+        eta = fixed["eta"]
         eta_b = fixed.get("eta_b", eta)
         if spec.loss is LossKind.ONE_ARM:
             family: LossFamily = SingleArm(eta)
@@ -332,7 +343,7 @@ def _guarded_record(spec: ScanSpec, swept_value: float) -> dict:
     # row-local containment: one bad point must not kill the sweep
     try:
         return point_record(spec, swept_value)
-    except (PhaseboundError, ConfigError, ValueError) as exc:
+    except _CONTAINED as exc:
         row = {key: None for key in CSV_COLUMNS}
         row["swept_value"] = swept_value
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -349,11 +360,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def run_scan(spec: ScanSpec, output_path: str, jobs: int = 1) -> None:
-    """Write one CSV row per sweep point plus a metadata JSON.
-
-    Rows are computed in one thread; `jobs` is kept for compatibility.
-    """
+def run_scan(spec: ScanSpec, output_path: str) -> None:
+    """Write one CSV row per sweep point plus a metadata JSON."""
     if spec.swept_variable is None:
         raise ConfigError("scan requires swept_variable and range")
     step = (spec.stop - spec.start) / (spec.steps - 1)
@@ -423,25 +431,16 @@ def _check_line(
     lines.append((ok, f"{name}: closed={lhs!r} oracle={rhs!r} rel={rel:.3e} tol={tol:g}"))
 
 
-def oracle_check(
-    spec: ScanSpec,
-    cutoff: int = 64,
-    tolerance: Optional[float] = None,
-    out: Optional[TextIO] = None,
-) -> bool:
+def oracle_check(spec: ScanSpec, cutoff: int = 64, out: Optional[TextIO] = None) -> bool:
     """Compare closed forms against the Fock engine at one point.
 
     Prints one line per identity to `out` (the current standard output
-    when None) and returns overall success. The
-    moment and matrix identities use `tolerance` when given, falling
-    back to 1e-6 for moment-level and 1e-8 for Kraus-level checks.
+    when None) and returns overall success. Moment and matrix identities
+    hold to 1e-6, and the Kraus matrix of the configured loss model to
+    1e-8.
     """
-    moment_tol = tolerance if tolerance is not None else _MOMENT_TOL
-    kraus_tol = tolerance if tolerance is not None else _KRAUS_TOL
     fixed = dict(spec.fixed)
     inp, target = _build_input(spec, fixed)
-    if spec.loss is not LossKind.NONE:
-        _require(fixed, "eta")  # the kraus.* lines need it
     closed = _stats_for(inp)
     lines: list[tuple[bool, str]] = []
 
@@ -462,7 +461,7 @@ def oracle_check(
             f"cutoff_convergence.{field}",
             getattr(oracle, field),
             getattr(oracle_big, field),
-            moment_tol,
+            _MOMENT_TOL,
             lines,
             scale=moment_scale,
         )
@@ -470,7 +469,7 @@ def oracle_check(
             f"moments.{field}",
             getattr(closed, field),
             getattr(oracle, field),
-            moment_tol,
+            _MOMENT_TOL,
             lines,
             scale=moment_scale,
         )
@@ -481,7 +480,7 @@ def oracle_check(
             f"correlations.{field}",
             getattr(corr_closed, field),
             getattr(corr_oracle, field),
-            moment_tol,
+            _MOMENT_TOL,
             lines,
             scale=1.0,
         )
@@ -493,24 +492,21 @@ def oracle_check(
             f"qfim.{field}",
             getattr(fm_closed, field),
             getattr(fm_oracle, field),
-            moment_tol,
+            _MOMENT_TOL,
             lines,
             scale=matrix_scale,
         )
 
-    if "eta" in fixed:
-        gamma = fixed.get("gamma", -0.5)
-        if "eta_b" in fixed or spec.loss is LossKind.TWO_ARM:
-            loss: Union[SingleArmLoss, TwoArmLoss] = TwoArmLoss(
-                fixed["eta"],
-                fixed.get("eta_b", fixed["eta"]),
-                gamma,
-                fixed.get("gamma_b", gamma),
+    if spec.loss is not LossKind.NONE:
+        eta, gamma = fixed["eta"], fixed.get("gamma", -0.5)
+        if spec.loss is LossKind.ONE_ARM:
+            loss: Union[SingleArmLoss, TwoArmLoss] = SingleArmLoss(eta, gamma)
+            cm_closed = c_matrix_single(oracle, loss)
+        else:
+            loss = TwoArmLoss(
+                eta, fixed.get("eta_b", eta), gamma, fixed.get("gamma_b", gamma)
             )
             cm_closed = c_matrix_two(oracle, loss)
-        else:
-            loss = SingleArmLoss(fixed["eta"], gamma)
-            cm_closed = c_matrix_single(oracle, loss)
         cm_oracle = kraus_sum_cij(state, loss)
         cm_scale = max(abs(cm_oracle.f_pp), abs(cm_oracle.f_mm))
         for field in ("f_pp", "f_mm", "f_pm"):
@@ -518,7 +514,7 @@ def oracle_check(
                 f"kraus.{field}",
                 getattr(cm_closed, field),
                 getattr(cm_oracle, field),
-                kraus_tol,
+                _KRAUS_TOL,
                 lines,
                 scale=cm_scale,
             )
@@ -589,10 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Configuration JSON keys: interferometer (SU2|SU11), estimation "
             "(SingleParameter|TwoParameter), loss (None|OneArm|TwoArm), "
-            "swept_variable (alpha_photons|eta|splitter_ratio|gain), range "
-            "[start, stop, steps], fixed {alpha_photons, squeeze_r, "
-            "splitter_ratio or gain, eta, eta_b, gamma, gamma_b}, repeats, "
-            "and cutoff (oracle-check only). Flags override JSON fields."
+            "swept_variable (scan only: alpha_photons, splitter_ratio (SU2) or "
+            "gain (SU11), or eta with loss), range [start, stop, steps], fixed "
+            "{alpha_photons, squeeze_r, splitter_ratio or gain, eta with loss; "
+            "eta_b, gamma, gamma_b optional}, repeats, and cutoff (oracle-check "
+            "only). A missing or unread parameter, or a sweep outside scan, "
+            "exits 1. oracle-check checks the loss model named by loss."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -608,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="PATH|-",
             help="JSON configuration file, or - for standard input",
         )
-        cmd.add_argument("--repeats", type=int, default=None, metavar="M")
         if name == "scan":
             cmd.add_argument("--output", required=True, metavar="PATH")
             cmd.add_argument(
@@ -620,14 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name == "point":
             cmd.add_argument("--output", default=None, metavar="PATH")
-        if name == "oracle-check":
-            cmd.add_argument(
-                "--tolerance",
-                type=float,
-                default=None,
-                metavar="REL",
-                help="override the identity tolerances",
-            )
     return parser
 
 
@@ -637,44 +626,46 @@ def main(argv: Optional[list] = None) -> int:
     try:
         document = _read_config(args.config)
         cutoff = _pop_cutoff(document)
-        spec = load_spec(document, repeats_override=args.repeats)
+        spec = load_spec(document)
+        if (args.command == "scan") != (spec.swept_variable is not None):
+            raise ConfigError(
+                "scan requires swept_variable and range"
+                if args.command == "scan"
+                else f"{args.command} takes no swept_variable; sweeps run under scan"
+            )
     except (ConfigError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    if args.command == "oracle-check":
+        try:
+            ok = oracle_check(spec, cutoff=cutoff)
+        except _CONTAINED as exc:
+            print(f"oracle failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_ORACLE
+        return EXIT_OK if ok else EXIT_ORACLE
+
     if args.command == "point":
         try:
             record = point_record(spec)
-        except (PhaseboundError, ConfigError, ValueError) as exc:
+        except _CONTAINED as exc:
             print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_COMPUTE
         text = json.dumps(
             {key: record[key] for key in CSV_COLUMNS}, indent=2, default=repr
         )
-        if args.output:
+    try:
+        if args.command == "scan":
+            run_scan(spec, args.output)
+        elif args.output:
             with open(args.output, "w") as handle:
                 handle.write(text + "\n")
         else:
             print(text)
-        return EXIT_OK
-
-    if args.command == "scan":
-        try:
-            run_scan(spec, args.output, jobs=args.jobs)
-        except ConfigError as exc:
-            print(f"invalid configuration: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except OSError as exc:
-            print(f"cannot write output: {exc}", file=sys.stderr)
-            return EXIT_COMPUTE
-        return EXIT_OK
-
-    try:
-        ok = oracle_check(spec, cutoff=cutoff, tolerance=args.tolerance)
-    except (PhaseboundError, ConfigError, ValueError) as exc:
-        print(f"oracle failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    return EXIT_OK if ok else EXIT_ORACLE
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

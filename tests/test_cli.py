@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -19,8 +20,10 @@ from phasebound.cli import (
     Interferometer,
     LossKind,
     ScanSpec,
+    _build_input,
     _format_cell,
     _stats_for,
+    build_parser,
     load_spec,
     main,
     oracle_check,
@@ -28,6 +31,7 @@ from phasebound.cli import (
     run_scan,
 )
 from phasebound.qfim_ideal import EstimationMode
+from phasebound.qfim_lossy import SingleArmLoss, c_matrix_single
 
 SU2_LOSSLESS = {
     "interferometer": "SU2",
@@ -88,7 +92,7 @@ def test_load_spec_rejects_bad_enum_values():
 
 
 def test_load_spec_sweep_needs_well_formed_range():
-    document = dict(SU2_LOSSLESS)
+    document = dict(SU11_ONE_ARM)
     document["swept_variable"] = "eta"
     with pytest.raises(ConfigError, match="range"):
         load_spec(document)
@@ -118,7 +122,6 @@ def test_load_spec_repeats_override():
     document = dict(SU2_LOSSLESS)
     document["repeats"] = 3
     assert load_spec(document).repeats == 3
-    assert load_spec(document, repeats_override=7).repeats == 7
     document["repeats"] = 0
     with pytest.raises(ConfigError, match="repeats"):
         load_spec(document)
@@ -246,11 +249,12 @@ def test_run_scan_writes_pinned_header_and_rows(tmp_path):
 
 
 def test_run_scan_is_deterministic_across_jobs(tmp_path):
-    spec = load_spec(_eta_sweep_document(0.2, 0.8, 7))
+    config = _write_config(tmp_path, _eta_sweep_document(0.2, 0.8, 7))
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    run_scan(spec, str(first), jobs=1)
-    run_scan(spec, str(second), jobs=4)
+    for out, jobs in ((first, "1"), (second, "4")):
+        argv = ["scan", "--config", config, "--output", str(out), "--jobs", jobs]
+        assert main(argv) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -324,6 +328,32 @@ def test_oracle_check_covers_kraus_when_loss_configured():
     assert ok
     assert "kraus.f_pp" in text
     assert "kraus.completeness" in text
+
+
+def test_oracle_check_follows_the_loss_model_named_by_loss():
+    one_arm = {
+        "interferometer": "SU2",
+        "estimation": "TwoParameter",
+        "loss": "OneArm",
+        "fixed": {"alpha_photons": 1.0, "squeeze_r": 0.3, "splitter_ratio": 1.0, "eta": 0.6},
+    }
+    # OneArm reads no eta_b: the check is the single-arm matrix, line for line
+    spec = load_spec(one_arm)
+    with_eta_b = load_spec({**one_arm, "fixed": {**one_arm["fixed"], "eta_b": 0.9}})
+    texts = []
+    for candidate in (spec, with_eta_b):
+        buffer = io.StringIO()
+        assert oracle_check(candidate, cutoff=32, out=buffer)
+        texts.append(buffer.getvalue())
+    assert texts[0] == texts[1]
+    closed = float(re.search(r"kraus\.f_pp: closed=(\S+)", texts[1]).group(1))
+    stats = _stats_for(_build_input(spec, dict(spec.fixed))[0])
+    want = c_matrix_single(stats, SingleArmLoss(0.6, -0.5)).f_pp
+    assert closed == pytest.approx(want, rel=1e-6)
+    # None reads no eta: no kraus.* line
+    buffer = io.StringIO()
+    assert oracle_check(load_spec({**one_arm, "loss": "None"}), cutoff=32, out=buffer)
+    assert "kraus." not in buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +533,12 @@ SU11_TWO_ARM = {**SU11_ONE_ARM, "loss": "TwoArm"}
             "estimation must be SingleParameter or TwoParameter, got {}",
         ),
         ({}, {"etab": 0.3}, "unknown fixed parameters: ['etab']"),
+        ({"repeats": 10**400}, {}, f"repeats must be an integer, got {10**400}"),
+        (
+            {"swept_variable": "gain", "range": [1.1, 1.3, 10**400]},
+            {},
+            f"range steps must be an integer, got {10**400}",
+        ),
     ],
     ids=[
         "fixed-nan",
@@ -514,12 +550,15 @@ SU11_TWO_ARM = {**SU11_ONE_ARM, "loss": "TwoArm"}
         "estimation-list",
         "estimation-object",
         "fixed-typo",
+        "repeats-beyond-float",
+        "steps-beyond-float",
     ],
 )
 def test_main_rejects_nonfinite_unhashable_and_unknown_values(
     tmp_path, capsys, overrides, fixed, reason
 ):
-    # json reads NaN, Infinity and 1e400; the string "1e400" stands for the literal
+    # json reads NaN, Infinity, 1e400 and integers of any size; the string
+    # "1e400" stands for the literal
     out = tmp_path / "scan.csv"
     commands = (("point", []), ("oracle-check", []), ("scan", ["--output", str(out)]))
     for command, extra in commands:
@@ -542,22 +581,17 @@ def test_main_oracle_check_requires_eta_with_loss(tmp_path, capsys, loss):
     fixed = {k: v for k, v in SU11_ONE_ARM["fixed"].items() if k != "eta"}
     document = {**SU11_ONE_ARM, "loss": loss, "cutoff": 16, "fixed": fixed}
     code = main(["oracle-check", "--config", _write_config(tmp_path, document)])
-    assert code == EXIT_ORACLE
+    assert code == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert "oracle failure: ConfigError: fixed parameter 'eta' is required" in captured.err
+    assert "invalid configuration: fixed parameter 'eta' is required" in captured.err
     assert captured.out == ""
 
 
 def test_main_point_compute_failure(tmp_path, capsys):
-    document = {
-        "interferometer": "SU2",
-        "estimation": "TwoParameter",
-        "loss": "None",
-        "fixed": {"alpha_photons": 4.0, "squeeze_r": 0.5},
-    }
+    document = {**SU2_LOSSLESS, "fixed": {**SU2_LOSSLESS["fixed"], "squeeze_r": -0.5}}
     code = main(["point", "--config", _write_config(tmp_path, document)])
     assert code == EXIT_COMPUTE
-    assert "splitter_ratio" in capsys.readouterr().err
+    assert "computation failed: ValueError: squeeze_r" in capsys.readouterr().err
 
 
 def test_main_scan_roundtrip(tmp_path):
@@ -647,13 +681,84 @@ def test_main_oracle_check_cutoff_refusal(tmp_path, capsys):
     assert "CutoffTooSmall" in capsys.readouterr().err
 
 
-def test_main_repeats_flag_overrides(tmp_path, capsys):
-    code = main(
-        ["point", "--config", _write_config(tmp_path, SU11_ONE_ARM), "--repeats", "4"]
+_SCAN_ALPHA = {"swept_variable": "alpha_photons", "range": [1.0, 2.0, 3]}
+
+
+@pytest.mark.parametrize(
+    "document, missing",
+    [
+        (SU2_LOSSLESS, "squeeze_r"),
+        (SU2_LOSSLESS, "splitter_ratio"),
+        (SU11_ONE_ARM, "gain"),
+        (SU11_ONE_ARM, "eta"),
+        (SU11_TWO_ARM, "eta"),
+    ],
+)
+def test_main_rejects_a_missing_required_parameter(tmp_path, capsys, document, missing):
+    # every command exits 1 before computing, and scan writes no CSV
+    fixed = {k: v for k, v in document["fixed"].items() if k != missing}
+    reason = f"fixed parameter {missing!r} is required for this spec"
+    out = tmp_path / "scan.csv"
+    commands = (("point", []), ("oracle-check", []), ("scan", ["--output", str(out)]))
+    for command, extra in commands:
+        doc = {**document, "fixed": fixed}
+        if command == "scan":
+            doc.update(_SCAN_ALPHA)
+        path = _write_config(tmp_path, doc)
+        assert main([command, "--config", path, *extra]) == EXIT_CONFIG, command
+        captured = capsys.readouterr()
+        assert f"invalid configuration: {reason}" in captured.err, command
+        assert captured.out == "", command
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=reason):
+        dataclasses.replace(load_spec(document), fixed=fixed)
+
+
+@pytest.mark.parametrize(
+    "document, swept",
+    [(SU2_LOSSLESS, "gain"), (SU2_LOSSLESS, "eta"), (SU11_ONE_ARM, "splitter_ratio")],
+)
+def test_main_scan_rejects_a_sweep_the_spec_does_not_read(tmp_path, capsys, document, swept):
+    out = tmp_path / "scan.csv"
+    sweep = {"swept_variable": swept, "range": [0.2, 0.8, 3]}
+    config = _write_config(tmp_path, {**document, **sweep})
+    assert main(["scan", "--config", config, "--output", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"for this spec, got {swept!r}" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["point", "oracle-check"])
+def test_main_point_and_oracle_check_reject_a_sweep(tmp_path, capsys, command):
+    config = _write_config(tmp_path, {**SU2_LOSSLESS, **_SCAN_ALPHA})
+    assert main([command, "--config", config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"invalid configuration: {command} takes no swept_variable" in captured.err
+    assert captured.out == ""
+
+
+def test_main_point_reports_an_unwritable_output(tmp_path, capsys):
+    out = tmp_path / "missing" / "record.json"
+    config = _write_config(tmp_path, SU2_LOSSLESS)
+    code = main(["point", "--config", config, "--output", str(out)])
+    assert code == EXIT_COMPUTE
+    assert "cannot write output:" in capsys.readouterr().err
+
+
+def test_cli_flag_set_is_pinned():
+    # one way to set each value: a flag here is a second way to set a JSON field
+    commands = next(
+        action.choices for action in build_parser()._actions if action.dest == "command"
     )
-    assert code == EXIT_OK
-    record = json.loads(capsys.readouterr().out)
-    assert record["qcrb_two"] == pytest.approx(0.22791610045946925 / 2.0, rel=1e-9)
+    flags = {
+        name: {action.dest for action in parser._actions if action.dest != "help"}
+        for name, parser in commands.items()
+    }
+    assert flags == {
+        "point": {"config", "output"},
+        "scan": {"config", "output", "jobs"},
+        "oracle-check": {"config"},
+    }
 
 
 def test_main_rejects_missing_subcommand(capsys):
