@@ -339,17 +339,6 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
     return row
 
 
-def _guarded_record(spec: ScanSpec, swept_value: float) -> dict:
-    # row-local containment: one bad point must not kill the sweep
-    try:
-        return point_record(spec, swept_value)
-    except _CONTAINED as exc:
-        row = {key: None for key in CSV_COLUMNS}
-        row["swept_value"] = swept_value
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -361,18 +350,22 @@ def _format_cell(value) -> str:
 
 
 def run_scan(spec: ScanSpec, output_path: str) -> None:
-    """Write one CSV row per sweep point plus a metadata JSON."""
+    """Write each CSV row as its sweep point is computed, then a metadata
+    JSON; the CSV is opened first, so an unwritable path fails before any
+    row is computed."""
     if spec.swept_variable is None:
         raise ConfigError("scan requires swept_variable and range")
     step = (spec.stop - spec.start) / (spec.steps - 1)
-    values = [spec.start + i * step for i in range(spec.steps)]
-    values[-1] = spec.stop
-    rows = [_guarded_record(spec, v) for v in values]
     with open(output_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row[key]) for key in CSV_COLUMNS])
+        for i in range(spec.steps):
+            value = spec.stop if i == spec.steps - 1 else spec.start + i * step
+            try:
+                row = point_record(spec, value)
+            except _CONTAINED as exc:  # one bad point must not kill the sweep
+                row = {"swept_value": value, "error": f"{type(exc).__name__}: {exc}"}
+            writer.writerow([_format_cell(row.get(key)) for key in CSV_COLUMNS])
     meta = {
         "library": {"name": "phasebound", "version": __version__},
         "spec": {
@@ -422,27 +415,16 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _check_line(
-    name: str, lhs: float, rhs: float, tol: float, lines: list, scale: float = 0.0
-) -> None:
-    denom = max(abs(rhs), scale, 1e-300)
-    rel = abs(lhs - rhs) / denom
-    ok = rel <= tol
-    lines.append((ok, f"{name}: closed={lhs!r} oracle={rhs!r} rel={rel:.3e} tol={tol:g}"))
-
-
 def oracle_check(spec: ScanSpec, cutoff: int = 64, out: Optional[TextIO] = None) -> bool:
     """Compare closed forms against the Fock engine at one point.
 
     Prints one line per identity to `out` (the current standard output
-    when None) and returns overall success. Moment and matrix identities
-    hold to 1e-6, and the Kraus matrix of the configured loss model to
-    1e-8.
+    when None), once every identity has been computed, and returns
+    overall success. Moment and matrix identities hold to 1e-6, and the
+    Kraus matrix of the configured loss model to 1e-8.
     """
-    fixed = dict(spec.fixed)
-    inp, target = _build_input(spec, fixed)
+    inp, _ = _build_input(spec, spec.fixed)
     closed = _stats_for(inp)
-    lines: list[tuple[bool, str]] = []
 
     _bind_oracle()  # the oracle names below resolve through the module globals
     state0 = prepare_input(inp.alpha_mag, inp.squeeze_r, cutoff)
@@ -454,88 +436,48 @@ def oracle_check(spec: ScanSpec, cutoff: int = 64, out: Optional[TextIO] = None)
         prepare_input(inp.alpha_mag, inp.squeeze_r, 2 * cutoff), inp.splitter
     )
     oracle_big = measure_moments(state_big)
-    # absolute floor, so a moment that is exactly 0 is not judged on round-off
+    # (name, closed, oracle, tolerance, scale) in print order; the scale
+    # floors the relative error's denominator, so a moment that is exactly 0
+    # is not judged on round-off
     moment_scale = max(abs(oracle.mean_a), abs(oracle.mean_b), 1.0)
-    for field in ("mean_a", "mean_b", "var_a", "var_b", "cov"):
-        _check_line(
-            f"cutoff_convergence.{field}",
-            getattr(oracle, field),
-            getattr(oracle_big, field),
-            _MOMENT_TOL,
-            lines,
-            scale=moment_scale,
-        )
-        _check_line(
-            f"moments.{field}",
-            getattr(closed, field),
-            getattr(oracle, field),
-            _MOMENT_TOL,
-            lines,
-            scale=moment_scale,
-        )
-    corr_closed = derived_correlations(closed)
-    corr_oracle = derived_correlations(oracle)
-    for field in ("q_a", "q_b", "j"):
-        _check_line(
-            f"correlations.{field}",
-            getattr(corr_closed, field),
-            getattr(corr_oracle, field),
-            _MOMENT_TOL,
-            lines,
-            scale=1.0,
-        )
-    fm_closed = qfim_matrix(oracle)
-    fm_oracle = derivative_qfim(state)
-    matrix_scale = max(abs(fm_oracle.f_pp), abs(fm_oracle.f_mm))
-    for field in ("f_pp", "f_mm", "f_pm"):
-        _check_line(
-            f"qfim.{field}",
-            getattr(fm_closed, field),
-            getattr(fm_oracle, field),
-            _MOMENT_TOL,
-            lines,
-            scale=matrix_scale,
-        )
-
+    checks = [
+        (f"{prefix}.{f}", getattr(lhs, f), getattr(rhs, f), _MOMENT_TOL, moment_scale)
+        for f in ("mean_a", "mean_b", "var_a", "var_b", "cov")
+        for prefix, lhs, rhs in (("cutoff_convergence", oracle, oracle_big),
+                                 ("moments", closed, oracle))
+    ]
+    corr_closed, corr_oracle = derived_correlations(closed), derived_correlations(oracle)
+    checks += [(f"correlations.{f}", getattr(corr_closed, f), getattr(corr_oracle, f),
+                _MOMENT_TOL, 1.0) for f in ("q_a", "q_b", "j")]
+    matrices = [("qfim", qfim_matrix(oracle), derivative_qfim(state), _MOMENT_TOL)]
     if spec.loss is not LossKind.NONE:
-        eta, gamma = fixed["eta"], fixed.get("gamma", -0.5)
+        eta, gamma = spec.fixed["eta"], spec.fixed.get("gamma", -0.5)
         if spec.loss is LossKind.ONE_ARM:
             loss: Union[SingleArmLoss, TwoArmLoss] = SingleArmLoss(eta, gamma)
             cm_closed = c_matrix_single(oracle, loss)
         else:
-            loss = TwoArmLoss(
-                eta, fixed.get("eta_b", eta), gamma, fixed.get("gamma_b", gamma)
-            )
+            eta_b, gamma_b = spec.fixed.get("eta_b", eta), spec.fixed.get("gamma_b", gamma)
+            loss = TwoArmLoss(eta, eta_b, gamma, gamma_b)
             cm_closed = c_matrix_two(oracle, loss)
-        cm_oracle = kraus_sum_cij(state, loss)
-        cm_scale = max(abs(cm_oracle.f_pp), abs(cm_oracle.f_mm))
-        for field in ("f_pp", "f_mm", "f_pm"):
-            _check_line(
-                f"kraus.{field}",
-                getattr(cm_closed, field),
-                getattr(cm_oracle, field),
-                _KRAUS_TOL,
-                lines,
-                scale=cm_scale,
-            )
-        norm_sq = 1.0 - state.norm_deficit
-        _check_line(
-            "kraus.completeness",
-            kraus_completeness(state, loss),
-            norm_sq,
-            _COMPLETENESS_TOL,
-            lines,
-            scale=1.0,
-        )
+        matrices.append(("kraus", cm_closed, kraus_sum_cij(state, loss), _KRAUS_TOL))
+    for prefix, lhs, rhs, tol in matrices:
+        scale = max(abs(rhs.f_pp), abs(rhs.f_mm))
+        checks += [(f"{prefix}.{f}", getattr(lhs, f), getattr(rhs, f), tol, scale)
+                   for f in ("f_pp", "f_mm", "f_pm")]
+    if spec.loss is not LossKind.NONE:
+        checks.append(("kraus.completeness", kraus_completeness(state, loss),
+                       1.0 - state.norm_deficit, _COMPLETENESS_TOL, 1.0))
 
     all_ok = True
-    for ok, text in lines:
-        flag = "PASS" if ok else "FAIL"
-        print(f"[{flag}] {text}", file=out)
+    for name, lhs, rhs, tol, scale in checks:
+        rel = abs(lhs - rhs) / max(abs(rhs), scale, 1e-300)
+        ok = rel <= tol
         all_ok = all_ok and ok
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: closed={lhs!r} oracle={rhs!r} "
+              f"rel={rel:.3e} tol={tol:g}", file=out)
     print(
         f"oracle-check: {'all identities hold' if all_ok else 'FAILURES above'} "
-        f"(cutoff {cutoff}, {len(lines)} checks)",
+        f"(cutoff {cutoff}, {len(checks)} checks)",
         file=out,
     )
     return all_ok
@@ -651,9 +593,7 @@ def main(argv: Optional[list] = None) -> int:
         except _CONTAINED as exc:
             print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_COMPUTE
-        text = json.dumps(
-            {key: record[key] for key in CSV_COLUMNS}, indent=2, default=repr
-        )
+        text = json.dumps(record, indent=2)  # already in CSV_COLUMNS order
     try:
         if args.command == "scan":
             run_scan(spec, args.output)

@@ -31,5 +31,7 @@ class CutoffTooSmall(PhaseboundError):
 
 
 class NonFiniteObjective(PhaseboundError):
-    """The gamma optimizer evaluated a bound to NaN or infinity."""
+    """A bound came out NaN or infinite: the Schur kernel's diagonal or its
+    f_pm**2/comp term overflowed, or the gamma optimizer found no finite
+    candidate."""
 

@@ -43,15 +43,10 @@ from .errors import NonFiniteObjective, SingularComplement
 from .moments import ModeStatistics
 from .qfim_ideal import EstimationMode, FisherMatrix, Target, qfim_matrix, two_param_bound
 from .qfim_ideal import _split
-from .qfim_lossy import SingleArmLoss, TwoArmLoss, c_matrix_single, c_matrix_two
+from .qfim_lossy import SingleArmLoss, TwoArmLoss, _check_eta, c_matrix_single, c_matrix_two
 
 _FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
 _ULP = 2.0**-52
-
-
-def _check_eta(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -105,14 +100,15 @@ class OptimizationResult:
 
 
 def _bound_value(cm: FisherMatrix, target: Target, mode: EstimationMode) -> float:
-    """The bound of one candidate; inf where it is not finite, or where the
-    complement is under the kernel's zero threshold (tiny matrices)."""
+    """The bound of one candidate; inf where it is not finite, where a Schur
+    term overflows, or where the complement is under the kernel's zero
+    threshold (tiny matrices)."""
     if mode is EstimationMode.SINGLE_PARAMETER:
         value = _split(cm, target)[0]
     else:
         try:
             value = two_param_bound(cm, target)
-        except SingularComplement:
+        except (SingularComplement, NonFiniteObjective):
             return math.inf
     return value if math.isfinite(value) else math.inf
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NonpositiveInformation, SingularComplement
+from .errors import NonFiniteObjective, NonpositiveInformation, SingularComplement
 from .moments import ModeStatistics
 
 # Positive-semidefiniteness slack for matrices assembled from rounded moments
@@ -84,16 +84,23 @@ def _schur_terms(fm: FisherMatrix, target: Target) -> tuple[float, float]:
     """(target diagonal, f_pm**2 / complementary diagonal), the Schur rule
     shared by the bound and the overestimation: the second term is 0.0
     when f_pm is zero within tolerance; SingularComplement when only the
-    complementary diagonal is."""
+    complementary diagonal is; NonFiniteObjective when either term is not
+    finite (f_pm**2 overflows long before the moments do)."""
     diag, comp = _split(fm, target)
     tol = _tol(fm)
     if abs(fm.f_pm) <= tol:
-        return diag, 0.0
-    if comp <= tol:
+        shift = 0.0
+    elif comp <= tol:
         raise SingularComplement(
             f"complementary diagonal {comp} is ~0 while |f_pm|={abs(fm.f_pm)} > tol"
         )
-    return diag, fm.f_pm * fm.f_pm / comp
+    else:
+        shift = fm.f_pm * fm.f_pm / comp
+    if not (math.isfinite(diag) and math.isfinite(shift)):
+        raise NonFiniteObjective(
+            f"Schur terms diag={diag} and shift={shift} are not finite"
+        )
+    return diag, shift
 
 
 def two_param_bound(fm: FisherMatrix, target: Target) -> float:
@@ -110,6 +117,8 @@ def two_param_bound(fm: FisherMatrix, target: Target) -> float:
     SingularComplement
         If the complementary diagonal is numerically zero while the
         off-diagonal element is not.
+    NonFiniteObjective
+        If the diagonal or the f_pm**2/comp term is not finite.
     """
     diag, shift = _schur_terms(fm, target)
     return diag - shift

@@ -26,6 +26,11 @@ from .qfim_ideal import FisherMatrix, Target
 from .qfim_ideal import two_param_bound  # noqa: F401
 
 
+def _check_eta(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class SingleArmLoss:
     """Loss on arm a: transmission eta_a and distribution parameter gamma.
@@ -39,8 +44,7 @@ class SingleArmLoss:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta_a <= 1.0:
-            raise ValueError(f"eta_a must be in [0, 1], got {self.eta_a}")
+        _check_eta("eta_a", self.eta_a)
 
 
 @dataclass(frozen=True)
@@ -53,10 +57,8 @@ class TwoArmLoss:
     gamma_b: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta_a <= 1.0:
-            raise ValueError(f"eta_a must be in [0, 1], got {self.eta_a}")
-        if not 0.0 <= self.eta_b <= 1.0:
-            raise ValueError(f"eta_b must be in [0, 1], got {self.eta_b}")
+        _check_eta("eta_a", self.eta_a)
+        _check_eta("eta_b", self.eta_b)
 
 
 def c_matrix_single(stats: ModeStatistics, loss: SingleArmLoss) -> FisherMatrix:

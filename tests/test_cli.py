@@ -7,9 +7,11 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
+from phasebound import cli
 from phasebound.cli import (
     CSV_COLUMNS,
     EXIT_COMPUTE,
@@ -271,6 +273,26 @@ def test_run_scan_contains_row_errors(tmp_path):
     assert all(row["info_two"] != "" for row in good)
 
 
+def _scan_peak_bytes(tmp_path, steps):
+    document = {**SU2_LOSSLESS, "swept_variable": "alpha_photons", "range": [0.5, 8.0, steps]}
+    document["fixed"] = {k: v for k, v in SU2_LOSSLESS["fixed"].items() if k != "alpha_photons"}
+    spec = load_spec(document)
+    tracemalloc.start()
+    try:
+        run_scan(spec, str(tmp_path / f"sweep{steps}.csv"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_scan_memory_does_not_grow_with_steps(tmp_path):
+    # rows go to the CSV as they are computed; none is kept
+    small = _scan_peak_bytes(tmp_path, 500)
+    large = _scan_peak_bytes(tmp_path, 5000)
+    assert large - small < 0.5e6, (small, large)
+    assert len((tmp_path / "sweep5000.csv").read_text().splitlines()) == 5001
+
+
 def test_run_scan_requires_sweep(tmp_path):
     with pytest.raises(ConfigError, match="swept_variable"):
         run_scan(load_spec(dict(SU2_LOSSLESS)), str(tmp_path / "x.csv"))
@@ -328,6 +350,36 @@ def test_oracle_check_covers_kraus_when_loss_configured():
     assert ok
     assert "kraus.f_pp" in text
     assert "kraus.completeness" in text
+
+
+_ORACLE_POINT = {
+    "interferometer": "SU2",
+    "estimation": "TwoParameter",
+    "fixed": {"alpha_photons": 1.0, "squeeze_r": 0.3, "splitter_ratio": 1.0, "eta": 0.6},
+}
+
+
+@pytest.mark.parametrize(
+    "loss, extra",
+    [("None", {}), ("OneArm", {}), ("TwoArm", {"eta_b": 0.8, "gamma_b": -1.0})],
+)
+def test_oracle_check_prints_its_lines_in_a_fixed_order(loss, extra):
+    document = {**_ORACLE_POINT, "loss": loss, "fixed": {**_ORACLE_POINT["fixed"], **extra}}
+    if loss == "None":
+        del document["fixed"]["eta"]
+    buffer = io.StringIO()
+    oracle_check(load_spec(document), cutoff=16, out=buffer)
+    lines = buffer.getvalue().splitlines()
+    moments = ("mean_a", "mean_b", "var_a", "var_b", "cov")
+    matrix = ("f_pp", "f_mm", "f_pm")
+    want = [f"{p}.{f}" for f in moments for p in ("cutoff_convergence", "moments")]
+    want += [f"correlations.{f}" for f in ("q_a", "q_b", "j")]
+    want += [f"qfim.{f}" for f in matrix]
+    if loss != "None":
+        want += [f"kraus.{f}" for f in matrix] + ["kraus.completeness"]
+    names = [re.match(r"\[(?:PASS|FAIL)\] ([\w.]+): ", line).group(1) for line in lines[:-1]]
+    assert names == want
+    assert re.fullmatch(rf"oracle-check: .* \(cutoff 16, {len(want)} checks\)", lines[-1])
 
 
 def test_oracle_check_follows_the_loss_model_named_by_loss():
@@ -743,6 +795,36 @@ def test_main_point_reports_an_unwritable_output(tmp_path, capsys):
     code = main(["point", "--config", config, "--output", str(out)])
     assert code == EXIT_COMPUTE
     assert "cannot write output:" in capsys.readouterr().err
+
+
+def test_main_scan_reports_an_unwritable_output_before_any_row(tmp_path, capsys, monkeypatch):
+    rows = []
+    monkeypatch.setattr(cli, "point_record", lambda *args: rows.append(args))
+    config = _write_config(tmp_path, _eta_sweep_document(0.2, 0.8, 4))
+    code = main(["scan", "--config", config, "--output", str(tmp_path / "missing" / "s.csv")])
+    assert code == EXIT_COMPUTE
+    assert "cannot write output:" in capsys.readouterr().err
+    assert rows == []
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {**SU2_LOSSLESS, "fixed": {**SU2_LOSSLESS["fixed"], "alpha_photons": 1e300}},
+        {
+            "interferometer": "SU11",
+            "estimation": "TwoParameter",
+            "loss": "None",
+            "fixed": {"alpha_photons": 1e300, "squeeze_r": 0.5, "gain": 1.2},
+        },
+    ],
+    ids=["SU2", "SU11"],
+)
+def test_main_point_names_an_overflowing_schur_term(tmp_path, capsys, document):
+    # the moments and F are finite; f_pm**2 is not
+    code = main(["point", "--config", _write_config(tmp_path, document)])
+    assert code == EXIT_COMPUTE
+    assert "computation failed: NonFiniteObjective: Schur terms" in capsys.readouterr().err
 
 
 def test_cli_flag_set_is_pinned():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from phasebound import (
     FisherMatrix,
     ModeStatistics,
+    NonFiniteObjective,
     NonpositiveInformation,
     SingularComplement,
     Target,
@@ -98,6 +99,15 @@ def test_two_param_bound_ratio_identity():
     assert two_param_bound(fm, Target.PHASE_SUM) == pytest.approx(
         det4 / (stats.var_a + stats.var_b - 2.0 * stats.cov), rel=1e-12
     )
+
+
+def test_overflowing_schur_term_raises():
+    fm = FisherMatrix(2.5e300, 2.5e300, 1e300)  # f_pm**2 overflows, f_pm**2/comp would not
+    for target in Target:
+        with pytest.raises(NonFiniteObjective, match="shift=inf"):
+            two_param_bound(fm, target)
+        with pytest.raises(NonFiniteObjective):
+            overestimation(fm, target)
 
 
 def test_singular_complement_raises():

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from phasebound import (
     DegenerateStatistics,
+    SingleArm,
     InterferometerInput,
     ModeStatistics,
     SingleArmLoss,
     SplitterSpec,
     Target,
+    TwoArmIndependent,
     TwoArmLoss,
+    TwoArmSymmetric,
     c_matrix_single,
     c_matrix_two,
     derived_correlations,
@@ -444,3 +447,19 @@ def test_lossy_schur_never_exceeds_diagonal(va, vb, jj, mean, eta, gamma):
         bound = two_param_bound(cm, target)
         assert bound <= diag * (1.0 + 1e-12) + 1e-30
         assert bound >= -1e-12 * max(cm.f_pp, cm.f_mm)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SingleArmLoss(1.5, 0.0), "eta_a must be in [0, 1], got 1.5"),
+        (lambda: TwoArmLoss(0.5, -0.25, 0.0, 0.0), "eta_b must be in [0, 1], got -0.25"),
+        (lambda: SingleArm(2.0), "eta must be in [0, 1], got 2.0"),
+        (lambda: TwoArmSymmetric(-1.0), "eta must be in [0, 1], got -1.0"),
+        (lambda: TwoArmIndependent(1.25, 0.5), "eta_a must be in [0, 1], got 1.25"),
+    ],
+)
+def test_every_loss_type_reports_eta_out_of_range_alike(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
