@@ -23,7 +23,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Optional, TextIO, Union
@@ -131,8 +131,12 @@ _ESTIMATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(
+    namedtuple(
+        "ScanSpec",
+        "interferometer estimation loss fixed swept_variable start stop steps repeats",
+    )
+):
     """One sweep (or, with swept_variable=None, one point).
 
     fixed holds every name in _READS for the interferometer and the loss
@@ -142,36 +146,39 @@ class ScanSpec:
     Construction checks this, and that the swept variable is one of them.
     """
 
-    interferometer: Interferometer
-    estimation: EstimationMode
-    loss: LossKind
-    fixed: dict
-    swept_variable: Optional[str] = None
-    start: float = 0.0
-    stop: float = 0.0
-    steps: int = 0
-    repeats: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        reads = _READS[self.interferometer] + _READS[self.loss]
+    def __new__(
+        cls,
+        interferometer: Interferometer,
+        estimation: EstimationMode,
+        loss: LossKind,
+        fixed: dict,
+        swept_variable: Optional[str] = None,
+        start: float = 0.0,
+        stop: float = 0.0,
+        steps: int = 0,
+        repeats: int = 1,
+    ) -> "ScanSpec":
+        reads = _READS[interferometer] + _READS[loss]
         sweepable = tuple(name for name in reads if name != "squeeze_r")
-        if self.swept_variable not in (None, *sweepable):
+        if swept_variable not in (None, *sweepable):
             raise ConfigError(
                 f"swept_variable must be one of {sweepable} for this spec, "
-                f"got {self.swept_variable!r}"
+                f"got {swept_variable!r}"
             )
         for name in reads:
-            if name not in self.fixed and name != self.swept_variable:
+            if name not in fixed and name != swept_variable:
                 raise ConfigError(f"fixed parameter {name!r} is required for this spec")
-        if self.swept_variable is not None:
-            if not self.start < self.stop:
-                raise ConfigError(
-                    f"range start must be below stop, got [{self.start}, {self.stop}]"
-                )
-            if self.steps < 2:
-                raise ConfigError(f"steps must be at least 2, got {self.steps}")
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be a positive integer, got {self.repeats}")
+        if swept_variable is not None:
+            if not start < stop:
+                raise ConfigError(f"range start must be below stop, got [{start}, {stop}]")
+            if steps < 2:
+                raise ConfigError(f"steps must be at least 2, got {steps}")
+        if repeats < 1:
+            raise ConfigError(f"repeats must be a positive integer, got {repeats}")
+        sweep = (swept_variable, start, stop, steps, repeats)
+        return super().__new__(cls, interferometer, estimation, loss, fixed, *sweep)
 
 
 def _parse_enum(kind, raw, field: str):

@@ -28,7 +28,7 @@ when the outermost shell of that grid carries negligible mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Union
 
 import numpy as np
@@ -47,21 +47,20 @@ _MAX_WORK = 320
 _BESSEL_TAIL = 1e-18
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedState:
-    """Two-mode pure state on the grid 0 <= n_a, n_b <= cutoff."""
+class TruncatedState(namedtuple("TruncatedState", "amplitudes cutoff")):
+    """Two-mode pure state on the grid 0 <= n_a, n_b <= cutoff; it holds an
+    array, so it equals only itself."""
 
-    amplitudes: np.ndarray
-    cutoff: int
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        shape = self.amplitudes.shape
+    def __new__(cls, amplitudes: np.ndarray, cutoff: int) -> "TruncatedState":
+        shape = amplitudes.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"amplitudes must be square, got shape {shape}")
-        if shape[0] != self.cutoff + 1:
-            raise ValueError(
-                f"cutoff {self.cutoff} inconsistent with shape {shape}"
-            )
+        if shape[0] != cutoff + 1:
+            raise ValueError(f"cutoff {cutoff} inconsistent with shape {shape}")
+        return super().__new__(cls, amplitudes, cutoff)
 
     @property
     def norm_deficit(self) -> float:

@@ -15,7 +15,7 @@ Phase matching is hard-coded: the linear-splitter forms assume
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple
 
@@ -31,20 +31,19 @@ class SplitterKind(Enum):
     NBS = "nbs"  # active nonlinear beam splitter, parameter G
 
 
-@dataclass(frozen=True)
-class SplitterSpec:
+class SplitterSpec(namedtuple("SplitterSpec", "kind value")):
     """First-splitter description: LBS transmissivity or NBS gain."""
 
-    kind: SplitterKind
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is SplitterKind.LBS:
-            if not 0.0 <= self.value <= 1.0:
-                raise ValueError(f"LBS transmissivity must be in [0, 1], got {self.value}")
+    def __new__(cls, kind: SplitterKind, value: float) -> "SplitterSpec":
+        if kind is SplitterKind.LBS:
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"LBS transmissivity must be in [0, 1], got {value}")
         else:
-            if self.value < 1.0:
-                raise ValueError(f"NBS gain must be >= 1, got {self.value}")
+            if value < 1.0:
+                raise ValueError(f"NBS gain must be >= 1, got {value}")
+        return super().__new__(cls, kind, value)
 
     @classmethod
     def lbs(cls, transmissivity: float) -> "SplitterSpec":
@@ -67,23 +66,22 @@ class SplitterSpec:
         return self.value
 
 
-@dataclass(frozen=True)
-class InterferometerInput:
+class InterferometerInput(namedtuple("InterferometerInput", "alpha_mag squeeze_r splitter")):
     """Coherent (x) squeezed-vacuum input plus the first splitter."""
 
-    alpha_mag: float
-    squeeze_r: float
-    splitter: SplitterSpec
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.alpha_mag < 0.0:
-            raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
-        if self.squeeze_r < 0.0:
-            raise ValueError(f"squeeze_r must be >= 0, got {self.squeeze_r}")
+    def __new__(
+        cls, alpha_mag: float, squeeze_r: float, splitter: SplitterSpec
+    ) -> "InterferometerInput":
+        if alpha_mag < 0.0:
+            raise ValueError(f"alpha_mag must be >= 0, got {alpha_mag}")
+        if squeeze_r < 0.0:
+            raise ValueError(f"squeeze_r must be >= 0, got {squeeze_r}")
+        return super().__new__(cls, alpha_mag, squeeze_r, splitter)
 
 
-@dataclass(frozen=True)
-class ModeStatistics:
+class ModeStatistics(namedtuple("ModeStatistics", "mean_a mean_b var_a var_b cov")):
     """First and second photon-number moments of the two-mode state.
 
     Attributes
@@ -96,23 +94,21 @@ class ModeStatistics:
         Covariance of the two arms' photon numbers.
     """
 
-    mean_a: float
-    mean_b: float
-    var_a: float
-    var_b: float
-    cov: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mean_a < 0.0 or self.mean_b < 0.0:
+    def __new__(
+        cls, mean_a: float, mean_b: float, var_a: float, var_b: float, cov: float
+    ) -> "ModeStatistics":
+        if mean_a < 0.0 or mean_b < 0.0:
             raise ValueError("mean photon numbers must be >= 0")
-        if self.var_a < 0.0 or self.var_b < 0.0:
+        if var_a < 0.0 or var_b < 0.0:
             raise ValueError("variances must be >= 0")
         # Cauchy-Schwarz with slack for closed-form rounding
-        if self.cov * self.cov > self.var_a * self.var_b * (1.0 + _CS_SLACK) + 1e-30:
+        if cov * cov > var_a * var_b * (1.0 + _CS_SLACK) + 1e-30:
             raise ValueError(
-                f"cov={self.cov} violates |cov| <= sqrt(var_a*var_b)="
-                f"{math.sqrt(self.var_a * self.var_b)}"
+                f"cov={cov} violates |cov| <= sqrt(var_a*var_b)={math.sqrt(var_a * var_b)}"
             )
+        return super().__new__(cls, mean_a, mean_b, var_a, var_b, cov)
 
 
 class Correlations(NamedTuple):

@@ -36,8 +36,8 @@ One parameter means t = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
+from typing import NamedTuple, Union
 
 from .errors import NonFiniteObjective, SingularComplement
 from .moments import ModeStatistics
@@ -49,43 +49,41 @@ _FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
 _ULP = 2.0**-52
 
 
-@dataclass(frozen=True)
-class SingleArm:
+class SingleArm(namedtuple("SingleArm", "eta")):
     """Loss on arm a only."""
 
-    eta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_eta("eta", self.eta)
+    def __new__(cls, eta: float) -> "SingleArm":
+        _check_eta("eta", eta)
+        return super().__new__(cls, eta)
 
 
-@dataclass(frozen=True)
-class TwoArmSymmetric:
+class TwoArmSymmetric(namedtuple("TwoArmSymmetric", "eta")):
     """Equal loss on both arms, one shared gamma."""
 
-    eta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_eta("eta", self.eta)
+    def __new__(cls, eta: float) -> "TwoArmSymmetric":
+        _check_eta("eta", eta)
+        return super().__new__(cls, eta)
 
 
-@dataclass(frozen=True)
-class TwoArmIndependent:
+class TwoArmIndependent(namedtuple("TwoArmIndependent", "eta_a eta_b")):
     """Independent loss on both arms, one gamma per arm."""
 
-    eta_a: float
-    eta_b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_eta("eta_a", self.eta_a)
-        _check_eta("eta_b", self.eta_b)
+    def __new__(cls, eta_a: float, eta_b: float) -> "TwoArmIndependent":
+        _check_eta("eta_a", eta_a)
+        _check_eta("eta_b", eta_b)
+        return super().__new__(cls, eta_a, eta_b)
 
 
 LossFamily = Union[SingleArm, TwoArmSymmetric, TwoArmIndependent]
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     """Outcome of a gamma minimization: argmin is one gamma, or a
     (gamma_a, gamma_b) pair for independent arms; matrix is C at argmin,
     the one minimum was read from; evaluations counts matrix-path bounds;

@@ -9,7 +9,7 @@ overestimation picked up by a single-parameter treatment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import NonFiniteObjective, NonpositiveInformation, SingularComplement
@@ -29,8 +29,7 @@ class EstimationMode(Enum):
     TWO_PARAMETER = "two_parameter"
 
 
-@dataclass(frozen=True)
-class FisherMatrix:
+class FisherMatrix(namedtuple("FisherMatrix", "f_pp f_mm f_pm")):
     """Symmetric 2x2 information matrix (ideal F or lossy C).
 
     Attributes
@@ -41,18 +40,17 @@ class FisherMatrix:
         The symmetric off-diagonal element.
     """
 
-    f_pp: float
-    f_mm: float
-    f_pm: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, f_pp: float, f_mm: float, f_pm: float) -> "FisherMatrix":
         # rounding leaves vanishing diagonals (and the determinant) ulps below 0
-        scale = max(1.0, self.f_pp, self.f_mm)
-        if min(self.f_pp, self.f_mm) < -_PSD_SLACK * scale:
+        scale = max(1.0, f_pp, f_mm)
+        if min(f_pp, f_mm) < -_PSD_SLACK * scale:
             raise ValueError("diagonal information elements must be >= 0")
-        det = self.f_pp * self.f_mm - self.f_pm * self.f_pm
+        det = f_pp * f_mm - f_pm * f_pm
         if det < -_PSD_SLACK * scale * scale:
             raise ValueError(f"matrix is not positive semidefinite: det={det}")
+        return super().__new__(cls, f_pp, f_mm, f_pm)
 
 
 def _tol(fm: FisherMatrix) -> float:

@@ -17,7 +17,7 @@ independent oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateStatistics
 from .moments import ModeStatistics, derived_correlations
@@ -31,8 +31,7 @@ def _check_eta(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class SingleArmLoss:
+class SingleArmLoss(namedtuple("SingleArmLoss", "eta_a gamma")):
     """Loss on arm a: transmission eta_a and distribution parameter gamma.
 
     gamma is mathematically unconstrained; the physical endpoints sit at
@@ -40,25 +39,22 @@ class SingleArmLoss:
     shift), and the optimum may legitimately fall outside [-1, 0].
     """
 
-    eta_a: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_eta("eta_a", self.eta_a)
+    def __new__(cls, eta_a: float, gamma: float) -> "SingleArmLoss":
+        _check_eta("eta_a", eta_a)
+        return super().__new__(cls, eta_a, gamma)
 
 
-@dataclass(frozen=True)
-class TwoArmLoss:
+class TwoArmLoss(namedtuple("TwoArmLoss", "eta_a eta_b gamma_a gamma_b")):
     """Independent loss on both arms."""
 
-    eta_a: float
-    eta_b: float
-    gamma_a: float
-    gamma_b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_eta("eta_a", self.eta_a)
-        _check_eta("eta_b", self.eta_b)
+    def __new__(cls, eta_a: float, eta_b: float, gamma_a: float, gamma_b: float) -> "TwoArmLoss":
+        _check_eta("eta_a", eta_a)
+        _check_eta("eta_b", eta_b)
+        return super().__new__(cls, eta_a, eta_b, gamma_a, gamma_b)
 
 
 def c_matrix_single(stats: ModeStatistics, loss: SingleArmLoss) -> FisherMatrix:

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -706,7 +705,8 @@ def test_main_oracle_check_passes_on_exactly_zero_moments(tmp_path, interferomet
 def test_oracle_check_fails_a_closed_moment_off_by_1e_3(monkeypatch, field):
     def shifted(inp):
         stats = _stats_for(inp)
-        return dataclasses.replace(stats, **{field: getattr(stats, field) + 1e-3})
+        # through the constructor, so the shifted moments are validated too
+        return type(stats)(**{**stats._asdict(), field: getattr(stats, field) + 1e-3})
 
     monkeypatch.setattr("phasebound.cli._stats_for", shifted)
     document = {
@@ -762,8 +762,9 @@ def test_main_rejects_a_missing_required_parameter(tmp_path, capsys, document, m
         assert f"invalid configuration: {reason}" in captured.err, command
         assert captured.out == "", command
     assert not out.exists()
+    spec = load_spec(document)
     with pytest.raises(ConfigError, match=reason):
-        dataclasses.replace(load_spec(document), fixed=fixed)
+        type(spec)(**{**spec._asdict(), "fixed": fixed})
 
 
 @pytest.mark.parametrize(

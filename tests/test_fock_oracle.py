@@ -56,6 +56,14 @@ def test_truncated_state_validates_shape():
         TruncatedState(np.zeros((3, 3), dtype=complex), 5)
 
 
+def test_truncated_state_equals_only_itself():
+    # comparing the arrays inside would be ambiguous; states compare by identity
+    state, twin = (TruncatedState(np.zeros((3, 3), dtype=complex), 2) for _ in range(2))
+    assert state == state and not state != state
+    assert state != twin and not state == twin
+    assert len({state, twin}) == 2
+
+
 def test_prepare_vacuum():
     state = prepare_input(0.0, 0.0, 8)
     assert state.amplitudes[0, 0] == 1.0

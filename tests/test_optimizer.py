@@ -20,13 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasebound import (
+    Correlations,
     EstimationMode,
+    FisherMatrix,
     InterferometerInput,
     ModeStatistics,
     NonFiniteObjective,
+    OptimizationResult,
     SingleArm,
     SingleArmLoss,
     SingularComplement,
+    SplitterKind,
     SplitterSpec,
     Target,
     TwoArmIndependent,
@@ -41,6 +45,8 @@ from phasebound import (
     qfim_matrix,
     two_param_bound,
 )
+from phasebound.cli import Interferometer, LossKind, ScanSpec
+from phasebound.fock_oracle import TruncatedState
 
 SU2_STATS = lbs_moments(InterferometerInput(2.0, 0.5, SplitterSpec.lbs(0.7)))
 SU11_STATS = nbs_moments(InterferometerInput(2.0, 0.5, SplitterSpec.nbs(1.2)))
@@ -689,6 +695,21 @@ def test_importing_the_cli_does_not_load_numpy():
     )
 
 
+@pytest.mark.parametrize(
+    "module, unwanted",
+    [("phasebound.cli", {"numpy", "dataclasses"}), ("phasebound.fock_oracle", {"dataclasses"})],
+)
+def test_importing_the_package_does_not_load_dataclasses(module, unwanted):
+    # against the modules present before the import, whatever site loads
+    _run_without_install(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"import {module}\n"
+        f"loaded = {unwanted!r} & (set(sys.modules) - before)\n"
+        "assert not loaded, loaded\n"
+    )
+
+
 def test_point_and_scan_run_without_numpy_or_scipy(tmp_path):
     # one lossless, one-arm and two-arm spec each, so the optimizer runs too
     fixed = {"alpha_photons": 4.0, "squeeze_r": 0.5, "gain": 1.2, "eta": 0.6}
@@ -779,3 +800,72 @@ def test_public_surface_is_pinned():
     assert len(phasebound.__all__) == len(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         assert getattr(phasebound, name) is not None, name
+
+
+
+# every public value type with one value per field, in field order
+_VALUE_TYPES = [
+    (SplitterSpec, {"kind": SplitterKind.NBS, "value": 1.2}),
+    (InterferometerInput, {"alpha_mag": 1.0, "squeeze_r": 0.3, "splitter": SplitterSpec.lbs(0.5)}),
+    (ModeStatistics, {"mean_a": 1.0, "mean_b": 2.0, "var_a": 3.0, "var_b": 4.0, "cov": 0.5}),
+    (Correlations, {"q_a": 0.1, "q_b": -0.2, "j": 0.3}),
+    (FisherMatrix, {"f_pp": 2.0, "f_mm": 1.0, "f_pm": 0.5}),
+    (SingleArmLoss, {"eta_a": 0.5, "gamma": -0.5}),
+    (TwoArmLoss, {"eta_a": 0.5, "eta_b": 0.7, "gamma_a": -0.5, "gamma_b": 0.0}),
+    (SingleArm, {"eta": 0.5}),
+    (TwoArmSymmetric, {"eta": 0.5}),
+    (TwoArmIndependent, {"eta_a": 0.5, "eta_b": 0.7}),
+    (
+        OptimizationResult,
+        {
+            "argmin": (-0.5, 0.0),
+            "minimum": 1.5,
+            "evaluations": 1,
+            "converged": True,
+            "matrix": FisherMatrix(2.0, 1.0, 0.5),
+        },
+    ),
+    (
+        ScanSpec,
+        {
+            "interferometer": Interferometer.SU2,
+            "estimation": TWO,
+            "loss": LossKind.NONE,
+            "fixed": {"alpha_photons": 1.0, "squeeze_r": 0.3, "splitter_ratio": 1.0},
+            "swept_variable": "alpha_photons",
+            "start": 1.0,
+            "stop": 2.0,
+            "steps": 3,
+            "repeats": 2,
+        },
+    ),
+    (TruncatedState, {"amplitudes": np.zeros((2, 2)), "cutoff": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, fields", _VALUE_TYPES, ids=[kind.__name__ for kind, _ in _VALUE_TYPES]
+)
+def test_value_types_are_immutable_and_print_their_fields(kind, fields):
+    by_keyword, by_position = kind(**fields), kind(*fields.values())
+    shown = ", ".join(f"{field}={value!r}" for field, value in fields.items())
+    assert repr(by_keyword) == repr(by_position) == f"{kind.__name__}({shown})"
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, field, 0.0)
+    with pytest.raises(AttributeError):
+        by_keyword.extra = 0.0
+
+
+def test_scan_spec_defaults_describe_one_point():
+    fixed = {"alpha_photons": 1.0, "squeeze_r": 0.3, "splitter_ratio": 1.0}
+    spec = ScanSpec(Interferometer.SU2, TWO, LossKind.NONE, fixed)
+    sweep = (spec.swept_variable, spec.start, spec.stop, spec.steps, spec.repeats)
+    assert sweep == (None, 0.0, 0.0, 0, 1)
+
+
+def test_unknown_family_message_shows_the_value():
+    with pytest.raises(TypeError) as info:
+        optimize_gamma(SU2_STATS, TwoArmLoss(0.5, 0.7, -0.5, 0.0), Target.PHASE_DIFFERENCE)
+    message = "unknown loss family: TwoArmLoss(eta_a=0.5, eta_b=0.7, gamma_a=-0.5, gamma_b=0.0)"
+    assert str(info.value) == message
