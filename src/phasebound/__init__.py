@@ -27,7 +27,6 @@ from .moments import (
     nbs_moments,
 )
 from .optimizer import (
-    LossFamily,
     OptimizationResult,
     SingleArm,
     TwoArmIndependent,
@@ -60,7 +59,6 @@ __all__ = [
     "EstimationMode",
     "FisherMatrix",
     "InterferometerInput",
-    "LossFamily",
     "ModeStatistics",
     "NonFiniteObjective",
     "NonpositiveInformation",

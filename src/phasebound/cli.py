@@ -26,21 +26,19 @@ import sys
 from collections import namedtuple
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Optional, TextIO, Union
+from typing import Optional, Union
 
 from . import __version__
 from .errors import DegenerateStatistics, PhaseboundError
 from .moments import (
     InterferometerInput,
     ModeStatistics,
-    SplitterKind,
     SplitterSpec,
     derived_correlations,
     lbs_moments,
     nbs_moments,
 )
 from .optimizer import (
-    LossFamily,
     SingleArm,
     TwoArmIndependent,
     TwoArmSymmetric,
@@ -227,6 +225,7 @@ def load_spec(document: dict) -> ScanSpec:
         "range",
         "fixed",
         "repeats",
+        "cutoff",  # read by main, for oracle-check
     }
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
@@ -267,7 +266,9 @@ def load_spec(document: dict) -> ScanSpec:
 
 def _build_input(
     spec: ScanSpec, fixed: dict
-) -> tuple[InterferometerInput, Target]:
+) -> tuple[InterferometerInput, Target, ModeStatistics]:
+    """The input state, the target phase and the closed-form moments; the
+    moment functions are called through the module globals."""
     alpha_photons = fixed["alpha_photons"]
     if alpha_photons < 0.0:
         raise ConfigError(f"alpha_photons must be non-negative, got {alpha_photons}")
@@ -277,18 +278,10 @@ def _build_input(
         ratio = fixed["splitter_ratio"]
         if ratio < 0.0:
             raise ConfigError(f"splitter_ratio must be non-negative, got {ratio}")
-        splitter = SplitterSpec.lbs(1.0 / (1.0 + ratio))
-        target = Target.PHASE_DIFFERENCE
-    else:
-        splitter = SplitterSpec.nbs(fixed["gain"])
-        target = Target.PHASE_SUM
-    return InterferometerInput(alpha, squeeze_r, splitter), target
-
-
-def _stats_for(inp: InterferometerInput) -> ModeStatistics:
-    if inp.splitter.kind is SplitterKind.LBS:
-        return lbs_moments(inp)
-    return nbs_moments(inp)
+        inp = InterferometerInput(alpha, squeeze_r, SplitterSpec.lbs(1.0 / (1.0 + ratio)))
+        return inp, Target.PHASE_DIFFERENCE, lbs_moments(inp)
+    inp = InterferometerInput(alpha, squeeze_r, SplitterSpec.nbs(fixed["gain"]))
+    return inp, Target.PHASE_SUM, nbs_moments(inp)
 
 
 def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
@@ -298,8 +291,7 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
         if swept_value is None:
             raise ConfigError("swept_value required when a variable is swept")
         fixed[spec.swept_variable] = swept_value
-    inp, target = _build_input(spec, fixed)
-    stats = _stats_for(inp)
+    _, target, stats = _build_input(spec, fixed)
     row: dict = {key: None for key in CSV_COLUMNS}
     row["swept_value"] = swept_value
     row["mean_a"], row["mean_b"] = stats.mean_a, stats.mean_b
@@ -316,7 +308,7 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
         eta = fixed["eta"]
         eta_b = fixed.get("eta_b", eta)
         if spec.loss is LossKind.ONE_ARM:
-            family: LossFamily = SingleArm(eta)
+            family = SingleArm(eta)
             try:
                 gamma_analytic = gamma_opt_single(stats, eta, target)
             except (ValueError, DegenerateStatistics):
@@ -384,10 +376,6 @@ def run_scan(spec: ScanSpec, output_path: str) -> None:
             "fixed": spec.fixed,
             "repeats": spec.repeats,
         },
-        "tolerances": {
-            "moment_check": _MOMENT_TOL,
-            "kraus_check": _KRAUS_TOL,
-        },
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     with open(output_path + ".meta.json", "w") as handle:
@@ -422,16 +410,15 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def oracle_check(spec: ScanSpec, cutoff: int = 64, out: Optional[TextIO] = None) -> bool:
+def oracle_check(spec: ScanSpec, cutoff: int) -> bool:
     """Compare closed forms against the Fock engine at one point.
 
-    Prints one line per identity to `out` (the current standard output
-    when None), once every identity has been computed, and returns
-    overall success. Moment and matrix identities hold to 1e-6, and the
-    Kraus matrix of the configured loss model to 1e-8.
+    Prints one line per identity to standard output, once every identity
+    has been computed, and returns overall success. Moment and matrix
+    identities hold to 1e-6, and the Kraus matrix of the configured loss
+    model to 1e-8.
     """
-    inp, _ = _build_input(spec, spec.fixed)
-    closed = _stats_for(inp)
+    inp, _, closed = _build_input(spec, spec.fixed)
 
     _bind_oracle()  # the oracle names below resolve through the module globals
     state0 = prepare_input(inp.alpha_mag, inp.squeeze_r, cutoff)
@@ -481,11 +468,10 @@ def oracle_check(spec: ScanSpec, cutoff: int = 64, out: Optional[TextIO] = None)
         ok = rel <= tol
         all_ok = all_ok and ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: closed={lhs!r} oracle={rhs!r} "
-              f"rel={rel:.3e} tol={tol:g}", file=out)
+              f"rel={rel:.3e} tol={tol:g}")
     print(
         f"oracle-check: {'all identities hold' if all_ok else 'FAILURES above'} "
-        f"(cutoff {cutoff}, {len(checks)} checks)",
-        file=out,
+        f"(cutoff {cutoff}, {len(checks)} checks)"
     )
     return all_ok
 
@@ -503,25 +489,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str):
     try:
         if path == "-":
-            document = json.load(sys.stdin)
-        else:
-            with open(path) as handle:
-                document = json.load(handle)
+            return json.load(sys.stdin)
+        with open(path) as handle:
+            return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ConfigError("configuration must be a JSON object")
-    return document
-
-
-def _pop_cutoff(document: dict) -> int:
-    cutoff = _convert(int, document.pop("cutoff", 64), "cutoff")
-    if cutoff < 1:
-        raise ConfigError(f"cutoff must be a positive integer, got {cutoff}")
-    return cutoff
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -574,8 +549,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         document = _read_config(args.config)
-        cutoff = _pop_cutoff(document)
         spec = load_spec(document)
+        cutoff = _convert(int, document.get("cutoff", 64), "cutoff")
+        if cutoff < 1:
+            raise ConfigError(f"cutoff must be a positive integer, got {cutoff}")
         if (args.command == "scan") != (spec.swept_variable is not None):
             raise ConfigError(
                 "scan requires swept_variable and range"

@@ -47,20 +47,22 @@ _MAX_WORK = 320
 _BESSEL_TAIL = 1e-18
 
 
-class TruncatedState(namedtuple("TruncatedState", "amplitudes cutoff")):
+class TruncatedState(namedtuple("TruncatedState", "amplitudes")):
     """Two-mode pure state on the grid 0 <= n_a, n_b <= cutoff; it holds an
     array, so it equals only itself."""
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __new__(cls, amplitudes: np.ndarray, cutoff: int) -> "TruncatedState":
+    def __new__(cls, amplitudes: np.ndarray) -> "TruncatedState":
         shape = amplitudes.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"amplitudes must be square, got shape {shape}")
-        if shape[0] != cutoff + 1:
-            raise ValueError(f"cutoff {cutoff} inconsistent with shape {shape}")
-        return super().__new__(cls, amplitudes, cutoff)
+        return super().__new__(cls, amplitudes)
+
+    @property
+    def cutoff(self) -> int:
+        return self.amplitudes.shape[0] - 1
 
     @property
     def norm_deficit(self) -> float:
@@ -93,7 +95,7 @@ def prepare_input(alpha_mag: float, squeeze_r: float, cutoff: int) -> TruncatedS
         sq[2 * k] = (-th) ** k * math.exp(
             0.5 * math.lgamma(2 * k + 1) - math.lgamma(k + 1) - k * math.log(2.0)
         ) / math.sqrt(math.cosh(squeeze_r))
-    state = TruncatedState(np.outer(coh, sq).astype(complex), cutoff)
+    state = TruncatedState(np.outer(coh, sq).astype(complex))
     if state.norm_deficit > _PREPARE_DEFICIT:
         raise CutoffTooSmall(
             f"input state norm deficit {state.norm_deficit:.3e} at cutoff {cutoff}"
@@ -197,7 +199,7 @@ def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedSt
         320 passes the shell test on the amplifying path.
     """
     if splitter.kind is SplitterKind.LBS:
-        angle = math.acos(math.sqrt(splitter.transmissivity))
+        angle = math.acos(math.sqrt(splitter.value))
         before = 1.0 - state.norm_deficit
         out = _evolve(state.amplitudes, SplitterKind.LBS, angle)
         after = float(np.sum(np.abs(out) ** 2))
@@ -205,8 +207,8 @@ def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedSt
             raise CutoffTooSmall(
                 f"passive splitter norm drift {abs(after - before):.3e}"
             )
-        return TruncatedState(out, state.cutoff)
-    angle = float(np.arccosh(splitter.gain))
+        return TruncatedState(out)
+    angle = float(np.arccosh(splitter.value))
     work = max(2 * state.cutoff, 64)
     while True:
         padded = np.zeros((work + 1, work + 1), dtype=complex)
@@ -214,11 +216,11 @@ def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedSt
         out = _evolve(padded, SplitterKind.NBS, angle)
         deficit = 1.0 - float(np.sum(np.abs(out) ** 2))
         if _shell_mass(out, _SHELL_WIDTH) <= _SHELL_MASS and abs(deficit) <= _NBS_DEFICIT:
-            return TruncatedState(out, work)
+            return TruncatedState(out)
         if work >= _MAX_WORK:
             raise CutoffTooSmall(
                 f"amplifier outgrew the maximum working grid {_MAX_WORK} "
-                f"(gain {splitter.gain}, input cutoff {state.cutoff})"
+                f"(gain {splitter.value}, input cutoff {state.cutoff})"
             )
         work = min(int(work * 1.5) + 8, _MAX_WORK)
 

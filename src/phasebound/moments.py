@@ -53,18 +53,6 @@ class SplitterSpec(namedtuple("SplitterSpec", "kind value")):
     def nbs(cls, gain: float) -> "SplitterSpec":
         return cls(SplitterKind.NBS, float(gain))
 
-    @property
-    def transmissivity(self) -> float:
-        if self.kind is not SplitterKind.LBS:
-            raise ValueError("transmissivity is an LBS parameter")
-        return self.value
-
-    @property
-    def gain(self) -> float:
-        if self.kind is not SplitterKind.NBS:
-            raise ValueError("gain is an NBS parameter")
-        return self.value
-
 
 class InterferometerInput(namedtuple("InterferometerInput", "alpha_mag squeeze_r splitter")):
     """Coherent (x) squeezed-vacuum input plus the first splitter."""
@@ -133,7 +121,7 @@ def lbs_moments(inp: InterferometerInput) -> ModeStatistics:
     """
     if inp.splitter.kind is not SplitterKind.LBS:
         raise ValueError("lbs_moments requires an LBS splitter")
-    t = inp.splitter.transmissivity
+    t = inp.splitter.value
     rr = 1.0 - t
     a2 = inp.alpha_mag ** 2
     sh2 = math.sinh(inp.squeeze_r) ** 2
@@ -165,7 +153,7 @@ def nbs_moments(inp: InterferometerInput) -> ModeStatistics:
     """
     if inp.splitter.kind is not SplitterKind.NBS:
         raise ValueError("nbs_moments requires an NBS splitter")
-    big_g2 = inp.splitter.gain ** 2
+    big_g2 = inp.splitter.value ** 2
     g2 = big_g2 - 1.0
     a2 = inp.alpha_mag ** 2
     sh2 = math.sinh(inp.squeeze_r) ** 2

@@ -80,9 +80,6 @@ class TwoArmIndependent(namedtuple("TwoArmIndependent", "eta_a eta_b")):
         return super().__new__(cls, eta_a, eta_b)
 
 
-LossFamily = Union[SingleArm, TwoArmSymmetric, TwoArmIndependent]
-
-
 class OptimizationResult(NamedTuple):
     """Outcome of a gamma minimization: argmin is one gamma, or a
     (gamma_a, gamma_b) pair for independent arms; matrix is C at argmin,
@@ -243,7 +240,7 @@ def _shared_gammas(
 
 def optimize_gamma(
     stats: ModeStatistics,
-    loss_family: LossFamily,
+    loss_family: Union[SingleArm, TwoArmSymmetric, TwoArmIndependent],
     target: Target,
     mode: EstimationMode = EstimationMode.TWO_PARAMETER,
 ) -> OptimizationResult:

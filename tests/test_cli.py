@@ -23,7 +23,6 @@ from phasebound.cli import (
     ScanSpec,
     _build_input,
     _format_cell,
-    _stats_for,
     build_parser,
     load_spec,
     main,
@@ -31,6 +30,7 @@ from phasebound.cli import (
     point_record,
     run_scan,
 )
+from phasebound.moments import nbs_moments
 from phasebound.qfim_ideal import EstimationMode
 from phasebound.qfim_lossy import SingleArmLoss, c_matrix_single
 
@@ -315,22 +315,21 @@ def test_scan_spec_direct_construction_validates():
 # oracle subcommand plumbing
 
 
-def test_oracle_check_passes_on_lossless_point():
+def test_oracle_check_passes_on_lossless_point(capsys):
     document = {
         "interferometer": "SU2",
         "estimation": "TwoParameter",
         "loss": "None",
         "fixed": {"alpha_photons": 1.0, "squeeze_r": 0.3, "splitter_ratio": 1.0},
     }
-    buffer = io.StringIO()
-    ok = oracle_check(load_spec(document), cutoff=32, out=buffer)
-    text = buffer.getvalue()
+    ok = oracle_check(load_spec(document), cutoff=32)
+    text = capsys.readouterr().out
     assert ok
     assert "[FAIL]" not in text
     assert text.count("[PASS]") >= 16
 
 
-def test_oracle_check_covers_kraus_when_loss_configured():
+def test_oracle_check_covers_kraus_when_loss_configured(capsys):
     document = {
         "interferometer": "SU2",
         "estimation": "TwoParameter",
@@ -343,9 +342,8 @@ def test_oracle_check_covers_kraus_when_loss_configured():
             "gamma": -0.5,
         },
     }
-    buffer = io.StringIO()
-    ok = oracle_check(load_spec(document), cutoff=32, out=buffer)
-    text = buffer.getvalue()
+    ok = oracle_check(load_spec(document), cutoff=32)
+    text = capsys.readouterr().out
     assert ok
     assert "kraus.f_pp" in text
     assert "kraus.completeness" in text
@@ -362,13 +360,12 @@ _ORACLE_POINT = {
     "loss, extra",
     [("None", {}), ("OneArm", {}), ("TwoArm", {"eta_b": 0.8, "gamma_b": -1.0})],
 )
-def test_oracle_check_prints_its_lines_in_a_fixed_order(loss, extra):
+def test_oracle_check_prints_its_lines_in_a_fixed_order(capsys, loss, extra):
     document = {**_ORACLE_POINT, "loss": loss, "fixed": {**_ORACLE_POINT["fixed"], **extra}}
     if loss == "None":
         del document["fixed"]["eta"]
-    buffer = io.StringIO()
-    oracle_check(load_spec(document), cutoff=16, out=buffer)
-    lines = buffer.getvalue().splitlines()
+    oracle_check(load_spec(document), cutoff=16)
+    lines = capsys.readouterr().out.splitlines()
     moments = ("mean_a", "mean_b", "var_a", "var_b", "cov")
     matrix = ("f_pp", "f_mm", "f_pm")
     want = [f"{p}.{f}" for f in moments for p in ("cutoff_convergence", "moments")]
@@ -381,7 +378,7 @@ def test_oracle_check_prints_its_lines_in_a_fixed_order(loss, extra):
     assert re.fullmatch(rf"oracle-check: .* \(cutoff 16, {len(want)} checks\)", lines[-1])
 
 
-def test_oracle_check_follows_the_loss_model_named_by_loss():
+def test_oracle_check_follows_the_loss_model_named_by_loss(capsys):
     one_arm = {
         "interferometer": "SU2",
         "estimation": "TwoParameter",
@@ -393,18 +390,16 @@ def test_oracle_check_follows_the_loss_model_named_by_loss():
     with_eta_b = load_spec({**one_arm, "fixed": {**one_arm["fixed"], "eta_b": 0.9}})
     texts = []
     for candidate in (spec, with_eta_b):
-        buffer = io.StringIO()
-        assert oracle_check(candidate, cutoff=32, out=buffer)
-        texts.append(buffer.getvalue())
+        assert oracle_check(candidate, cutoff=32)
+        texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     closed = float(re.search(r"kraus\.f_pp: closed=(\S+)", texts[1]).group(1))
-    stats = _stats_for(_build_input(spec, dict(spec.fixed))[0])
+    stats = _build_input(spec, dict(spec.fixed))[2]
     want = c_matrix_single(stats, SingleArmLoss(0.6, -0.5)).f_pp
     assert closed == pytest.approx(want, rel=1e-6)
     # None reads no eta: no kraus.* line
-    buffer = io.StringIO()
-    assert oracle_check(load_spec({**one_arm, "loss": "None"}), cutoff=32, out=buffer)
-    assert "kraus." not in buffer.getvalue()
+    assert oracle_check(load_spec({**one_arm, "loss": "None"}), cutoff=32)
+    assert "kraus." not in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -702,22 +697,21 @@ def test_main_oracle_check_passes_on_exactly_zero_moments(tmp_path, interferomet
 
 
 @pytest.mark.parametrize("field", ["mean_a", "mean_b", "var_a", "var_b", "cov"])
-def test_oracle_check_fails_a_closed_moment_off_by_1e_3(monkeypatch, field):
+def test_oracle_check_fails_a_closed_moment_off_by_1e_3(monkeypatch, capsys, field):
     def shifted(inp):
-        stats = _stats_for(inp)
+        stats = nbs_moments(inp)
         # through the constructor, so the shifted moments are validated too
         return type(stats)(**{**stats._asdict(), field: getattr(stats, field) + 1e-3})
 
-    monkeypatch.setattr("phasebound.cli._stats_for", shifted)
+    monkeypatch.setattr("phasebound.cli.nbs_moments", shifted)
     document = {
         "interferometer": "SU11",
         "estimation": "TwoParameter",
         "loss": "None",
         "fixed": {"alpha_photons": 1.0, "squeeze_r": 0.3, "gain": 1.0},
     }
-    buffer = io.StringIO()
-    assert not oracle_check(load_spec(document), cutoff=24, out=buffer)
-    assert f"[FAIL] moments.{field}:" in buffer.getvalue()
+    assert not oracle_check(load_spec(document), cutoff=24)
+    assert f"[FAIL] moments.{field}:" in capsys.readouterr().out
 
 
 def test_main_oracle_check_cutoff_refusal(tmp_path, capsys):

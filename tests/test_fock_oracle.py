@@ -51,14 +51,13 @@ def _matrix_close(found, expected, tol):
 
 def test_truncated_state_validates_shape():
     with pytest.raises(ValueError, match="square"):
-        TruncatedState(np.zeros((3, 4), dtype=complex), 2)
-    with pytest.raises(ValueError, match="inconsistent"):
-        TruncatedState(np.zeros((3, 3), dtype=complex), 5)
+        TruncatedState(np.zeros((3, 4), dtype=complex))
+    assert TruncatedState(np.zeros((3, 3), dtype=complex)).cutoff == 2
 
 
 def test_truncated_state_equals_only_itself():
     # comparing the arrays inside would be ambiguous; states compare by identity
-    state, twin = (TruncatedState(np.zeros((3, 3), dtype=complex), 2) for _ in range(2))
+    state, twin = (TruncatedState(np.zeros((3, 3), dtype=complex)) for _ in range(2))
     assert state == state and not state != state
     assert state != twin and not state == twin
     assert len({state, twin}) == 2
@@ -359,7 +358,7 @@ def test_derivative_qfim_fock_superposition():
     # (|0> + |2>)/sqrt(2) on mode a, vacuum on mode b
     amp = np.zeros((5, 5), dtype=complex)
     amp[0, 0] = amp[2, 0] = 1.0 / math.sqrt(2.0)
-    fm = derivative_qfim(TruncatedState(amp, 4))
+    fm = derivative_qfim(TruncatedState(amp))
     assert fm.f_pp == pytest.approx(1.0, rel=1e-15)
     assert fm.f_mm == pytest.approx(1.0, rel=1e-15)
     assert fm.f_pm == pytest.approx(1.0, rel=1e-15)

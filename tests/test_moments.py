@@ -50,13 +50,13 @@ def su11_input(alpha=2.0, r=0.5, g=1.2):
 def test_splitter_spec_lbs_fields():
     spec = SplitterSpec.lbs(0.7)
     assert spec.kind is SplitterKind.LBS
-    assert spec.transmissivity == 0.7
+    assert spec.value == 0.7
 
 
 def test_splitter_spec_nbs_fields():
     spec = SplitterSpec.nbs(1.2)
     assert spec.kind is SplitterKind.NBS
-    assert spec.gain == 1.2
+    assert spec.value == 1.2
 
 
 @pytest.mark.parametrize("bad_t", [-0.1, 1.1])
