@@ -47,6 +47,9 @@ from .qfim_lossy import SingleArmLoss, TwoArmLoss, _check_eta, c_matrix_single, 
 
 _FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
 _ULP = 2.0**-52
+# moments above this are scaled down before the shared-gamma quintic, whose
+# coefficients are cubic in them and overflow near 1e102
+_RESCALE_ABOVE = 1e60
 
 
 class SingleArm(namedtuple("SingleArm", "eta")):
@@ -200,12 +203,18 @@ def _shared_gammas(
     b = 1.0 - eta
     if b == 0.0:
         return [_FREE_GAMMA]  # the matrix does not depend on gamma
-    a_a, a_b = eta * stats.mean_a, eta * stats.mean_b
+    mean_a, mean_b, va, vb, cov = stats
+    top = max(stats)
+    if top > _RESCALE_ABOVE:
+        # every quantity below is homogeneous in the moments: an exact power of
+        # four scales each by an exact power of two and leaves gamma as it is
+        shift = -2 * (math.frexp(top)[1] // 2)
+        mean_a, mean_b, va, vb, cov = (math.ldexp(x, shift) for x in stats)
+    a_a, a_b = eta * mean_a, eta * mean_b
     l2 = a_a + a_b
     if l2 == 0.0:
         return [eta / b]  # no loss term: C = u**2 F, least at u = 0
-    va, vb = stats.var_a, stats.var_b
-    cov = stats.cov if target is Target.PHASE_SUM else -stats.cov
+    cov = cov if target is Target.PHASE_SUM else -cov
     # S = (p + q t)**2 + r (1 + e t)**2 (larger variance first) stays accurate at |J| = 1
     big, e = (va, -1.0) if va >= vb else (vb, 1.0)
     root = math.sqrt(big)

@@ -822,6 +822,21 @@ def test_main_point_names_an_overflowing_schur_term(tmp_path, capsys, document):
     assert "computation failed: NonFiniteObjective: Schur terms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "loss, extra",
+    [("OneArm", {}), ("TwoArm", {"eta_b": 0.7})],
+    ids=["OneArm", "TwoArm-unequal"],
+)
+def test_main_point_names_an_overflowing_schur_term_under_loss(tmp_path, capsys, loss, extra):
+    # every gamma candidate's bound is infinite; the optimizer re-raises the
+    # kernel's own error for the best one
+    fixed = {"alpha_photons": 1e200, "squeeze_r": 0.5, "splitter_ratio": 1.0, "eta": 0.5}
+    document = {**SU2_LOSSLESS, "loss": loss, "fixed": {**fixed, **extra}}
+    code = main(["point", "--config", _write_config(tmp_path, document)])
+    assert code == EXIT_COMPUTE
+    assert "computation failed: NonFiniteObjective: Schur terms" in capsys.readouterr().err
+
+
 def test_cli_flag_set_is_pinned():
     # one way to set each value: a flag here is a second way to set a JSON field
     commands = next(

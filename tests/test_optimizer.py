@@ -518,6 +518,26 @@ def test_symmetric_second_basin_regression():
     assert result.minimum == two_param_bound(cm, Target.PHASE_SUM)
 
 
+@pytest.mark.parametrize(
+    "moments, splitter, target, alphas",
+    [
+        (lbs_moments, SplitterSpec.lbs(0.5), Target.PHASE_DIFFERENCE,
+         [1e20, 1e50, 1e120, 1e200, 1e300]),
+        (nbs_moments, SplitterSpec.nbs(1.5), Target.PHASE_SUM, [1e20, 1e50, 1e120, 1e150]),
+    ],
+    ids=["SU2", "SU11"],
+)
+def test_shared_gamma_bound_is_proportional_to_a_huge_input(moments, splitter, target, alphas):
+    # once |alpha|^2 swamps sinh(r)^2 the bound grows as <n_a>; the shared-gamma
+    # quintic is cubic in the moments, and where it overflowed (SU2 from
+    # |alpha|^2 ~ 1e155, SU11 from ~1e105) a candidate above the minimum won
+    ratios = []
+    for alpha_photons in alphas:
+        stats = moments(InterferometerInput(math.sqrt(alpha_photons), 0.5, splitter))
+        ratios.append(optimize_gamma(stats, TwoArmSymmetric(0.5), target).minimum / stats.mean_a)
+    assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12)
+
+
 @pytest.mark.parametrize("mode", list(EstimationMode))
 def test_lossless_families_are_the_ideal_bound(mode):
     fm = qfim_matrix(SU11_STATS)
