@@ -267,8 +267,7 @@ def load_spec(document: dict) -> ScanSpec:
 def _build_input(
     spec: ScanSpec, fixed: dict
 ) -> tuple[InterferometerInput, Target, ModeStatistics]:
-    """The input state, the target phase and the closed-form moments; the
-    moment functions are called through the module globals."""
+    """The input state, the target phase and the closed-form moments."""
     alpha_photons = fixed["alpha_photons"]
     if alpha_photons < 0.0:
         raise ConfigError(f"alpha_photons must be non-negative, got {alpha_photons}")

@@ -122,7 +122,7 @@ _STDERR_REASON = re.compile(r"(oracle failure: \w+):.*")
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
-    from phasebound import cli
+    from phasebound import cli  # here, so that running the script can put src/ on the path first
 
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
