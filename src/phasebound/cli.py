@@ -176,7 +176,7 @@ class ScanSpec(
         if repeats < 1:
             raise ConfigError(f"repeats must be a positive integer, got {repeats}")
         sweep = (swept_variable, start, stop, steps, repeats)
-        return super().__new__(cls, interferometer, estimation, loss, fixed, *sweep)
+        return tuple.__new__(cls, (interferometer, estimation, loss, fixed, *sweep))
 
 
 def _parse_enum(kind, raw, field: str):
@@ -291,12 +291,6 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
             raise ConfigError("swept_value required when a variable is swept")
         fixed[spec.swept_variable] = swept_value
     _, target, stats = _build_input(spec, fixed)
-    row: dict = {key: None for key in CSV_COLUMNS}
-    row["swept_value"] = swept_value
-    row["mean_a"], row["mean_b"] = stats.mean_a, stats.mean_b
-    row["var_a"], row["var_b"], row["cov"] = stats.var_a, stats.var_b, stats.cov
-    row["error"] = ""
-
     gamma_analytic: Optional[float] = None
     gamma_numeric: Union[None, float, tuple[float, float]] = None
     if spec.loss is LossKind.NONE:
@@ -323,28 +317,21 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
         fm, gamma_numeric = res_two.matrix, res_two.argmin
         info_single, info_two = res_single.minimum, res_two.minimum
 
-    row["f_pp"], row["f_mm"], row["f_pm"] = fm.f_pp, fm.f_mm, fm.f_pm
-    row["info_single"], row["info_two"] = info_single, info_two
-    row["delta_f"] = overestimation(fm, target)
-    row["gamma_opt_analytic"] = gamma_analytic
-    row["gamma_opt_numeric"] = gamma_numeric
-    if spec.estimation is EstimationMode.SINGLE_PARAMETER:
-        row["info_optimal"] = info_single
-    else:
-        row["info_optimal"] = info_two
-    row["qcrb_single"] = qcrb(info_single, spec.repeats)
-    row["qcrb_two"] = qcrb(info_two, spec.repeats)
-    return row
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, tuple):
-        return ";".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    single = spec.estimation is EstimationMode.SINGLE_PARAMETER
+    # keys in CSV_COLUMNS order: run_scan writes the values as they come
+    return {
+        "swept_value": swept_value,
+        "mean_a": stats.mean_a, "mean_b": stats.mean_b,
+        "var_a": stats.var_a, "var_b": stats.var_b, "cov": stats.cov,
+        "f_pp": fm.f_pp, "f_mm": fm.f_mm, "f_pm": fm.f_pm,
+        "info_single": info_single, "info_two": info_two,
+        "delta_f": overestimation(fm, target),
+        "gamma_opt_analytic": gamma_analytic, "gamma_opt_numeric": gamma_numeric,
+        "info_optimal": info_single if single else info_two,
+        "qcrb_single": qcrb(info_single, spec.repeats),
+        "qcrb_two": qcrb(info_two, spec.repeats),
+        "error": "",
+    }
 
 
 def run_scan(spec: ScanSpec, output_path: str) -> None:
@@ -362,8 +349,15 @@ def run_scan(spec: ScanSpec, output_path: str) -> None:
             try:
                 row = point_record(spec, value)
             except _CONTAINED as exc:  # one bad point must not kill the sweep
-                row = {"swept_value": value, "error": f"{type(exc).__name__}: {exc}"}
-            writer.writerow([_format_cell(row.get(key)) for key in CSV_COLUMNS])
+                row = dict.fromkeys(CSV_COLUMNS)
+                row["swept_value"] = value
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                pair = row["gamma_opt_numeric"]
+                if type(pair) is tuple:  # independent arms: one cell, a;b
+                    row["gamma_opt_numeric"] = f"{pair[0]!r};{pair[1]!r}"
+            # the C writer formats each float as its repr and None as ""
+            writer.writerow(row.values())
     meta = {
         "library": {"name": "phasebound", "version": __version__},
         "spec": {

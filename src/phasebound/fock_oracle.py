@@ -58,7 +58,7 @@ class TruncatedState(namedtuple("TruncatedState", "amplitudes")):
         shape = amplitudes.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"amplitudes must be square, got shape {shape}")
-        return super().__new__(cls, amplitudes)
+        return tuple.__new__(cls, (amplitudes,))
 
     @property
     def cutoff(self) -> int:

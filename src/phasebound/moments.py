@@ -43,7 +43,7 @@ class SplitterSpec(namedtuple("SplitterSpec", "kind value")):
         else:
             if value < 1.0:
                 raise ValueError(f"NBS gain must be >= 1, got {value}")
-        return super().__new__(cls, kind, value)
+        return tuple.__new__(cls, (kind, value))
 
     @classmethod
     def lbs(cls, transmissivity: float) -> "SplitterSpec":
@@ -66,7 +66,7 @@ class InterferometerInput(namedtuple("InterferometerInput", "alpha_mag squeeze_r
             raise ValueError(f"alpha_mag must be >= 0, got {alpha_mag}")
         if squeeze_r < 0.0:
             raise ValueError(f"squeeze_r must be >= 0, got {squeeze_r}")
-        return super().__new__(cls, alpha_mag, squeeze_r, splitter)
+        return tuple.__new__(cls, (alpha_mag, squeeze_r, splitter))
 
 
 class ModeStatistics(namedtuple("ModeStatistics", "mean_a mean_b var_a var_b cov")):
@@ -91,12 +91,16 @@ class ModeStatistics(namedtuple("ModeStatistics", "mean_a mean_b var_a var_b cov
             raise ValueError("mean photon numbers must be >= 0")
         if var_a < 0.0 or var_b < 0.0:
             raise ValueError("variances must be >= 0")
-        # Cauchy-Schwarz with slack for closed-form rounding
-        if cov * cov > var_a * var_b * (1.0 + _CS_SLACK) + 1e-30:
-            raise ValueError(
-                f"cov={cov} violates |cov| <= sqrt(var_a*var_b)={math.sqrt(var_a * var_b)}"
-            )
-        return super().__new__(cls, mean_a, mean_b, var_a, var_b, cov)
+        # Cauchy-Schwarz with slack for closed-form rounding; where both
+        # products overflow (moments above ~1e154) the square roots decide
+        square, bound = cov * cov, var_a * var_b * (1.0 + _CS_SLACK) + 1e-30
+        if square > bound or (
+            square == bound == math.inf
+            and abs(cov) > math.sqrt(var_a) * math.sqrt(var_b) * (1.0 + _CS_SLACK)
+        ):
+            root = math.sqrt(var_a) * math.sqrt(var_b)
+            raise ValueError(f"cov={cov} violates |cov| <= sqrt(var_a*var_b)={root}")
+        return tuple.__new__(cls, (mean_a, mean_b, var_a, var_b, cov))
 
 
 class Correlations(NamedTuple):

@@ -59,7 +59,7 @@ class SingleArm(namedtuple("SingleArm", "eta")):
 
     def __new__(cls, eta: float) -> "SingleArm":
         _check_eta("eta", eta)
-        return super().__new__(cls, eta)
+        return tuple.__new__(cls, (eta,))
 
 
 class TwoArmSymmetric(namedtuple("TwoArmSymmetric", "eta")):
@@ -69,7 +69,7 @@ class TwoArmSymmetric(namedtuple("TwoArmSymmetric", "eta")):
 
     def __new__(cls, eta: float) -> "TwoArmSymmetric":
         _check_eta("eta", eta)
-        return super().__new__(cls, eta)
+        return tuple.__new__(cls, (eta,))
 
 
 class TwoArmIndependent(namedtuple("TwoArmIndependent", "eta_a eta_b")):
@@ -80,7 +80,7 @@ class TwoArmIndependent(namedtuple("TwoArmIndependent", "eta_a eta_b")):
     def __new__(cls, eta_a: float, eta_b: float) -> "TwoArmIndependent":
         _check_eta("eta_a", eta_a)
         _check_eta("eta_b", eta_b)
-        return super().__new__(cls, eta_a, eta_b)
+        return tuple.__new__(cls, (eta_a, eta_b))
 
 
 class OptimizationResult(NamedTuple):

@@ -50,7 +50,7 @@ class FisherMatrix(namedtuple("FisherMatrix", "f_pp f_mm f_pm")):
         det = f_pp * f_mm - f_pm * f_pm
         if det < -_PSD_SLACK * scale * scale:
             raise ValueError(f"matrix is not positive semidefinite: det={det}")
-        return super().__new__(cls, f_pp, f_mm, f_pm)
+        return tuple.__new__(cls, (f_pp, f_mm, f_pm))
 
 
 def _tol(fm: FisherMatrix) -> float:

@@ -43,7 +43,7 @@ class SingleArmLoss(namedtuple("SingleArmLoss", "eta_a gamma")):
 
     def __new__(cls, eta_a: float, gamma: float) -> "SingleArmLoss":
         _check_eta("eta_a", eta_a)
-        return super().__new__(cls, eta_a, gamma)
+        return tuple.__new__(cls, (eta_a, gamma))
 
 
 class TwoArmLoss(namedtuple("TwoArmLoss", "eta_a eta_b gamma_a gamma_b")):
@@ -54,7 +54,7 @@ class TwoArmLoss(namedtuple("TwoArmLoss", "eta_a eta_b gamma_a gamma_b")):
     def __new__(cls, eta_a: float, eta_b: float, gamma_a: float, gamma_b: float) -> "TwoArmLoss":
         _check_eta("eta_a", eta_a)
         _check_eta("eta_b", eta_b)
-        return super().__new__(cls, eta_a, eta_b, gamma_a, gamma_b)
+        return tuple.__new__(cls, (eta_a, eta_b, gamma_a, gamma_b))
 
 
 def c_matrix_single(stats: ModeStatistics, loss: SingleArmLoss) -> FisherMatrix:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -22,7 +23,6 @@ from phasebound.cli import (
     LossKind,
     ScanSpec,
     _build_input,
-    _format_cell,
     build_parser,
     load_spec,
     main,
@@ -30,6 +30,7 @@ from phasebound.cli import (
     point_record,
     run_scan,
 )
+from phasebound.errors import PhaseboundError
 from phasebound.moments import nbs_moments
 from phasebound.qfim_ideal import EstimationMode
 from phasebound.qfim_lossy import SingleArmLoss, c_matrix_single
@@ -216,13 +217,109 @@ def test_point_record_requires_fixed_parameters():
 # formatting and sweeps
 
 
-def test_format_cell():
-    assert _format_cell(None) == ""
-    assert _format_cell(0.1) == "0.1"
-    assert _format_cell((0.25, 0.5)) == "0.25;0.5"
-    assert _format_cell("note") == "note"
+_LOSS_FIXED = {
+    "None": {},
+    "OneArm": {"eta": 0.6},
+    "TwoArm": {"eta": 0.6},
+    "TwoArmUnequal": {"eta": 0.6, "eta_b": 0.8},
+}
+_SPLITTER_FIXED = {"SU2": {"splitter_ratio": 0.5}, "SU11": {"gain": 1.2}}
 
 
+def _document(interferometer, loss, **extra):
+    return {
+        "interferometer": interferometer,
+        "estimation": "TwoParameter",
+        "loss": loss.removesuffix("Unequal"),
+        "fixed": {
+            "alpha_photons": 4.0,
+            "squeeze_r": 0.5,
+            **_SPLITTER_FIXED[interferometer],
+            **_LOSS_FIXED[loss],
+        },
+        **extra,
+    }
+
+
+@pytest.mark.parametrize("loss", list(_LOSS_FIXED))
+@pytest.mark.parametrize("interferometer", ["SU2", "SU11"])
+def test_point_record_keys_follow_csv_columns(interferometer, loss):
+    assert list(point_record(load_spec(_document(interferometer, loss)))) == list(CSV_COLUMNS)
+
+
+def _expected_line(spec, value):
+    """A CSV line rebuilt from point_record by the documented rule: a float
+    is its repr, None an empty cell, a gamma pair a;b, and an error row
+    keeps the swept value and the message (quoted when it holds a comma)."""
+    try:
+        row = point_record(spec, value)
+    except (ConfigError, ValueError, PhaseboundError) as exc:
+        message = f"{type(exc).__name__}: {exc}"
+        if "," in message:
+            message = '"' + message.replace('"', '""') + '"'
+        return ",".join([repr(value)] + [""] * (len(CSV_COLUMNS) - 2) + [message])
+    cells = []
+    for value in row.values():
+        if value is None:
+            cells.append("")
+        elif isinstance(value, tuple):
+            cells.append(";".join(repr(v) for v in value))
+        elif isinstance(value, float):
+            cells.append(repr(value))
+        else:
+            cells.append(value)
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("loss", list(_LOSS_FIXED))
+@pytest.mark.parametrize("interferometer", ["SU2", "SU11"])
+def test_run_scan_lines_rebuild_from_point_record(tmp_path, interferometer, loss):
+    # alpha_photons -1 is refused with "must be non-negative, got -1.0"
+    document = _document(
+        interferometer, loss, swept_variable="alpha_photons", range=[-1.0, 3.0, 5]
+    )
+    del document["fixed"]["alpha_photons"]
+    spec = load_spec(document)
+    out = tmp_path / "sweep.csv"
+    run_scan(spec, str(out))
+    header, *lines = out.read_text().splitlines()
+    assert header == ",".join(CSV_COLUMNS)
+    assert [float(line.split(",")[0]) for line in lines] == [-1.0, 0.0, 1.0, 2.0, 3.0]
+    for line in lines:
+        assert line == _expected_line(spec, float(line.split(",")[0]))
+    assert lines[0].endswith(',"ConfigError: alpha_photons must be non-negative, got -1.0"')
+    gamma_cell = next(csv.reader(lines[-1:]))[CSV_COLUMNS.index("gamma_opt_numeric")]
+    assert (";" in gamma_cell) == (loss == "TwoArmUnequal")
+
+
+def _calls_per_scan(spec, path) -> int:
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        run_scan(spec, str(path))
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("interferometer", ["SU2", "SU11"])
+def test_lossless_scan_row_call_budget(tmp_path, interferometer):
+    # Python-level calls per lossless row, counted rather than timed: the row
+    # is built once and the csv C writer formats its cells (44 calls when
+    # each cell went through a Python formatter)
+    swept = "splitter_ratio" if interferometer == "SU2" else "gain"
+    document = _document(interferometer, "None", swept_variable=swept)
+    del document["fixed"][swept]
+    calls = []
+    for steps in (2, 1002):
+        spec = load_spec({**document, "range": [1.0, 3.0, steps]})
+        calls.append(_calls_per_scan(spec, tmp_path / f"sweep{steps}.csv"))
+    assert (calls[1] - calls[0]) / 1000 <= 20
 def _eta_sweep_document(start, stop, steps):
     return {
         "interferometer": "SU2",

@@ -87,6 +87,24 @@ def test_mode_statistics_rejects_cauchy_schwarz_violation():
         ModeStatistics(1.0, 1.0, 1.0, 1.0, 3.0)
 
 
+def test_mode_statistics_rejects_cauchy_schwarz_violation_past_overflow():
+    # cov**2 and var_a*var_b both overflow to inf here
+    with pytest.raises(ValueError, match=r"violates \|cov\| <= sqrt\(var_a\*var_b\)=1e\+200"):
+        ModeStatistics(1e200, 1e200, 1e200, 1e200, 1e250)
+
+
+@pytest.mark.parametrize("squeeze_r", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize(
+    "moments, splitter",
+    [(lbs_moments, SplitterSpec.lbs(0.3)), (nbs_moments, SplitterSpec.nbs(1.5))],
+)
+def test_huge_closed_form_states_pass_cauchy_schwarz(moments, splitter, squeeze_r):
+    # alpha_photons 1e300: the variance product overflows, and the state
+    # still constructs
+    stats = moments(InterferometerInput(1e150, squeeze_r, splitter))
+    assert stats.var_a * stats.var_b == math.inf
+
+
 # ---------------------------------------------------------------------------
 # closed-form moments
 
