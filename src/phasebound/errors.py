@@ -32,6 +32,6 @@ class CutoffTooSmall(PhaseboundError):
 
 class NonFiniteObjective(PhaseboundError):
     """A bound came out NaN or infinite: the Schur kernel's diagonal or its
-    f_pm**2/comp term overflowed, or the gamma optimizer found no finite
-    candidate."""
+    f_pm**2/comp term overflowed, the optimal gamma is out of float range,
+    or the diagonal at the optimal gamma is not finite."""
 

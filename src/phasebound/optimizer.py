@@ -2,8 +2,9 @@
 
 Every gamma gives a valid bound (Escher, de Matos Filho and Davidovich,
 Nat. Phys. 7, 406 (2011)), so the reportable number is the global minimum
-over gamma. It is found in closed form, without a search, and reported as
-the matrix-path bound at the argmin.
+over gamma. Each loss family gives one gamma in closed form, without a
+search; the bound is then read once, from C at that gamma, by the same
+kernel that reports it for any other gamma.
 
 The Schur bound diag - f_pm**2/comp of a PSD 2x2 C is min_t v^T C v with
 v = e_target + t e_other. With w = (1 + t, 1 - t) for the phase sum or
@@ -30,7 +31,8 @@ S and L are quadratics in t with vertices t_S and t_L; dg/dt has the sign
 of the quintic (1 - eta) L'' (t - t_L) S**2 + S'' (t - t_S) L**2, negative
 below both vertices and positive above, so the minima lie between them,
 among the quintic's roots, isolated between those of its derivatives.
-One parameter means t = 0.
+One parameter means t = 0. Of these candidates the one with the least g
+gives gamma = S/((1 - eta) S + L) - 1; the matrix is built only there.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ import math
 from collections import namedtuple
 from typing import NamedTuple, Union
 
-from .errors import NonFiniteObjective, SingularComplement
+from .errors import NonFiniteObjective
 from .moments import ModeStatistics
 from .qfim_ideal import EstimationMode, FisherMatrix, Target, qfim_matrix, two_param_bound
-from .qfim_ideal import _split
+from .qfim_ideal import _split, _tol
 from .qfim_lossy import SingleArmLoss, TwoArmLoss, _check_eta, c_matrix_single, c_matrix_two
 
 _FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
@@ -86,29 +88,15 @@ class TwoArmIndependent(namedtuple("TwoArmIndependent", "eta_a eta_b")):
 class OptimizationResult(NamedTuple):
     """Outcome of a gamma minimization: argmin is one gamma, or a
     (gamma_a, gamma_b) pair for independent arms; matrix is C at argmin,
-    the one minimum was read from; evaluations counts matrix-path bounds;
-    converged is False only when the infimum is approached as a gamma
-    runs to infinity."""
+    the one minimum was read from; evaluations is always 1 (one matrix per
+    call), kept because the benchmark reads it; converged is False only
+    when the infimum is approached as a gamma runs to infinity."""
 
     argmin: Union[float, tuple[float, float]]
     minimum: float
     evaluations: int
     converged: bool
     matrix: FisherMatrix
-
-
-def _bound_value(cm: FisherMatrix, target: Target, mode: EstimationMode) -> float:
-    """The bound of one candidate; inf where it is not finite, where a Schur
-    term overflows, or where the complement is under the kernel's zero
-    threshold (tiny matrices)."""
-    if mode is EstimationMode.SINGLE_PARAMETER:
-        value = _split(cm, target)[0]
-    else:
-        try:
-            value = two_param_bound(cm, target)
-        except (SingularComplement, NonFiniteObjective):
-            return math.inf
-    return value if math.isfinite(value) else math.inf
 
 
 def _loss_weights(eta: float, mean: float, var: float) -> tuple[float, float]:
@@ -144,7 +132,8 @@ def _pair_argmin(
         )
         fm = qfim_matrix(ModeStatistics(stats.mean_a, stats.mean_b, *(x / det for x in m)))
         comp = _split(fm, target)[1]
-        t = -fm.f_pm / comp if comp > 0.0 else 0.0
+        # 0 where the Schur kernel treats f_pm as zero, as two_param_bound does
+        t = -fm.f_pm / comp if comp > 0.0 and abs(fm.f_pm) > _tol(fm) else 0.0
     w_a, w_b = 1.0 + t, (1.0 - t if target is Target.PHASE_SUM else t - 1.0)
     v_a, v_b = sd_a * w_a, sd_b * w_b  # w in standard units
     y_a = ((b_b * r_b + a_b) * a_a * v_a - b_a * j * a_b * v_b) / det
@@ -196,13 +185,13 @@ def _unit_roots(p: list[float]) -> list[float]:
     return roots + edges
 
 
-def _shared_gammas(
+def _shared_gamma(
     stats: ModeStatistics, eta: float, target: Target, mode: EstimationMode
-) -> list[float]:
-    """Gammas among which the symmetric-loss bound takes its minimum."""
+) -> float:
+    """The gamma at which the symmetric-loss bound takes its minimum."""
     b = 1.0 - eta
     if b == 0.0:
-        return [_FREE_GAMMA]  # the matrix does not depend on gamma
+        return _FREE_GAMMA  # the matrix does not depend on gamma
     mean_a, mean_b, va, vb, cov = stats
     top = max(stats)
     if top > _RESCALE_ABOVE:
@@ -213,7 +202,7 @@ def _shared_gammas(
     a_a, a_b = eta * mean_a, eta * mean_b
     l2 = a_a + a_b
     if l2 == 0.0:
-        return [eta / b]  # no loss term: C = u**2 F, least at u = 0
+        return eta / b  # no loss term: C = u**2 F, least at u = 0
     cov = cov if target is Target.PHASE_SUM else -cov
     # S = (p + q t)**2 + r (1 + e t)**2 (larger variance first) stays accurate at |J| = 1
     big, e = (va, -1.0) if va >= vb else (vb, 1.0)
@@ -243,8 +232,10 @@ def _shared_gammas(
         ]
         sigmas = sorted(set(_unit_roots(quintic)))
         pairs = [(alpha * (sg - 1.0) ** 2 + s0, beta * sg * sg + l0) for sg in sigmas]
-    # u = L/(b S + L); where S = L = 0 the form vanishes for every u
-    return [sv / (b * sv + lv) - 1.0 if b * sv + lv > 0.0 else _FREE_GAMMA for sv, lv in pairs]
+    # (L, gamma + 1) per candidate: u = L/(b S + L) gives gamma + 1 = S/(b S + L)
+    # and g = L (gamma + 1); where S = L = 0 the form vanishes for every gamma
+    candidates = [(lv, sv / (b * sv + lv) if b * sv + lv > 0.0 else 1.0) for sv, lv in pairs]
+    return min(candidates, key=lambda c: c[0] * c[1])[1] - 1.0
 
 
 def optimize_gamma(
@@ -257,28 +248,24 @@ def optimize_gamma(
 
     mode selects the quantity being minimized: the two-parameter
     Schur-complement bound (default) or the bare diagonal element used
-    by single-parameter estimation.
+    by single-parameter estimation. In two-parameter mode the kernel's own
+    errors propagate; in single-parameter mode a diagonal that is not
+    finite raises NonFiniteObjective.
     """
     if isinstance(loss_family, TwoArmSymmetric):
         eta, attained = loss_family.eta, True
-        gammas = _shared_gammas(stats, eta, target, mode)
-        matrices = [c_matrix_two(stats, TwoArmLoss(eta, eta, g, g)) for g in gammas]
+        gamma = _shared_gamma(stats, eta, target, mode)
+        matrix = c_matrix_two(stats, TwoArmLoss(eta, eta, gamma, gamma))
     elif isinstance(loss_family, SingleArm):
         (gamma, _), attained = _pair_argmin(stats, loss_family.eta, 1.0, target, mode)
-        gammas = [gamma]
-        matrices = [c_matrix_single(stats, SingleArmLoss(loss_family.eta, gamma))]
+        matrix = c_matrix_single(stats, SingleArmLoss(loss_family.eta, gamma))
     elif isinstance(loss_family, TwoArmIndependent):
-        eta_a, eta_b = loss_family.eta_a, loss_family.eta_b
-        pair, attained = _pair_argmin(stats, eta_a, eta_b, target, mode)
-        gammas, matrices = [pair], [c_matrix_two(stats, TwoArmLoss(eta_a, eta_b, *pair))]
+        gamma, attained = _pair_argmin(stats, *loss_family, target, mode)
+        matrix = c_matrix_two(stats, TwoArmLoss(*loss_family, *gamma))
     else:
         raise TypeError(f"unknown loss family: {loss_family!r}")
-    values = [_bound_value(cm, target, mode) for cm in matrices]
-    best = values.index(min(values))
-    if values[best] == math.inf:
-        if mode is EstimationMode.TWO_PARAMETER:
-            two_param_bound(matrices[best], target)  # the kernel's own error, if it has one
-        raise NonFiniteObjective(f"no finite bound at gamma in {gammas}")
-    return OptimizationResult(
-        gammas[best], values[best], len(gammas), attained, matrices[best]
-    )
+    if mode is EstimationMode.TWO_PARAMETER:
+        minimum = two_param_bound(matrix, target)  # raises where the kernel does
+    elif not math.isfinite(minimum := _split(matrix, target)[0]):
+        raise NonFiniteObjective(f"diagonal {minimum} at gamma {gamma} is not finite")
+    return OptimizationResult(gamma, minimum, 1, attained, matrix)

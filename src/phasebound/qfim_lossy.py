@@ -4,14 +4,15 @@ Loss on an arm is modeled by a family of Kraus decompositions indexed
 by a continuous parameter gamma that distributes the loss relative to
 the phase shift; every gamma yields a valid upper bound on the
 information, so the tightest statement comes from minimizing over
-gamma. This module provides the closed-form C matrices for single-arm
-and two-arm loss and the analytic optimal gamma where one exists
-(single-arm).
+gamma. This module provides the C matrices for single-arm and two-arm
+loss and the analytic optimal gamma where one exists (single-arm).
 
-Production bounds always go through the matrix path (assemble C, take
-the Schur complement with ``two_param_bound``); the long closed forms
-for the optimum and its limits are kept in the test suite as
-independent oracles.
+C is the ideal matrix (``qfim_matrix``) of the moments the arms keep:
+each variance becomes u_i**2 var_i + L_i and the covariance u_a u_b cov,
+with u_i = 1 - (gamma_i + 1)(1 - eta_i) and the loss term
+L_i = (gamma_i + 1)**2 (1 - eta_i) eta_i <n_i>. Production bounds read C
+through ``two_param_bound``; the long closed forms for the optimum and its
+limits are kept in the test suite as independent oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import namedtuple
 
 from .errors import DegenerateStatistics
 from .moments import ModeStatistics, derived_correlations
-from .qfim_ideal import FisherMatrix, Target
+from .qfim_ideal import FisherMatrix, Target, qfim_matrix
 # perfbench/probes.py wraps phasebound.qfim_lossy.two_param_bound
 from .qfim_ideal import two_param_bound  # noqa: F401
 
@@ -58,42 +59,34 @@ class TwoArmLoss(namedtuple("TwoArmLoss", "eta_a eta_b gamma_a gamma_b")):
 
 
 def c_matrix_single(stats: ModeStatistics, loss: SingleArmLoss) -> FisherMatrix:
-    """Single-arm-loss information matrix.
-
-    With u = eta_a - gamma*(1 - eta_a) and the loss term
-    L = (gamma+1)**2 (1-eta_a) eta_a <n_a>:
-
-        C_pp = u**2 var_a + var_b + 2 u cov + L
-        C_mm = u**2 var_a + var_b - 2 u cov + L
-        C_pm = u**2 var_a + L - var_b
+    """Single-arm-loss information matrix: the ideal matrix of the moments
+    arm a keeps, var_a -> u**2 var_a + L and cov -> u cov, with
+    u = eta_a - gamma*(1 - eta_a) and the loss term
+    L = (gamma+1)**2 (1-eta_a) eta_a <n_a>.
 
     At eta_a = 1 this reduces to the ideal matrix for every gamma.
     """
     eta, gamma = loss.eta_a, loss.gamma
     u = eta - gamma * (1.0 - eta)
     big_l = (gamma + 1.0) ** 2 * (1.0 - eta) * eta * stats.mean_a
-    ua_va = u * u * stats.var_a + big_l
-    return FisherMatrix(
-        f_pp=ua_va + stats.var_b + 2.0 * u * stats.cov,
-        f_mm=ua_va + stats.var_b - 2.0 * u * stats.cov,
-        f_pm=ua_va - stats.var_b,
-    )
+    # tuple.__new__ skips the Cauchy-Schwarz check, whose absolute slack of 1e-30
+    # would, once scaled by u**2, reject tiny moments that passed it
+    kept = (stats.mean_a, stats.mean_b, u * u * stats.var_a + big_l, stats.var_b, u * stats.cov)
+    return qfim_matrix(tuple.__new__(ModeStatistics, kept))
 
 
 def c_matrix_two(stats: ModeStatistics, loss: TwoArmLoss) -> FisherMatrix:
-    """Two-arm-loss information matrix (independent eta and gamma per arm)."""
+    """Two-arm-loss information matrix (independent eta and gamma per arm):
+    the ideal matrix of var_i -> u_i**2 var_i + L_i and cov -> u_a u_b cov,
+    with u_i = 1 - (gamma_i + 1)(1 - eta_i) and
+    L_i = (gamma_i + 1)**2 (1 - eta_i) eta_i <n_i>."""
     u_a = 1.0 - (loss.gamma_a + 1.0) * (1.0 - loss.eta_a)
     u_b = 1.0 - (loss.gamma_b + 1.0) * (1.0 - loss.eta_b)
     l_a = (loss.gamma_a + 1.0) ** 2 * (1.0 - loss.eta_a) * loss.eta_a * stats.mean_a
     l_b = (loss.gamma_b + 1.0) ** 2 * (1.0 - loss.eta_b) * loss.eta_b * stats.mean_b
-    arm_a = u_a * u_a * stats.var_a + l_a
-    arm_b = u_b * u_b * stats.var_b + l_b
-    cross = 2.0 * u_a * u_b * stats.cov
-    return FisherMatrix(
-        f_pp=arm_a + arm_b + cross,
-        f_mm=arm_a + arm_b - cross,
-        f_pm=arm_a - arm_b,
-    )
+    arm_a, arm_b = u_a * u_a * stats.var_a + l_a, u_b * u_b * stats.var_b + l_b
+    kept = (stats.mean_a, stats.mean_b, arm_a, arm_b, u_a * u_b * stats.cov)
+    return qfim_matrix(tuple.__new__(ModeStatistics, kept))  # unchecked, as in c_matrix_single
 
 
 def gamma_opt_single(stats: ModeStatistics, eta_a: float, target: Target) -> float:

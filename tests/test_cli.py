@@ -292,7 +292,8 @@ def test_run_scan_lines_rebuild_from_point_record(tmp_path, interferometer, loss
     assert (";" in gamma_cell) == (loss == "TwoArmUnequal")
 
 
-def _calls_per_scan(spec, path) -> int:
+def _calls(function, *args) -> int:
+    """Python-level calls made by function(*args), itself included."""
     calls = 0
 
     def count(frame, event, arg):
@@ -302,7 +303,7 @@ def _calls_per_scan(spec, path) -> int:
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        run_scan(spec, str(path))
+        function(*args)
     finally:
         sys.setprofile(previous)
     return calls
@@ -320,8 +321,16 @@ def test_lossless_scan_row_call_budget(tmp_path, interferometer):
     calls = []
     for steps in (2, 1002):
         spec = load_spec({**document, "range": [1.0, 3.0, steps]})
-        calls.append(_calls_per_scan(spec, tmp_path / f"sweep{steps}.csv"))
+        calls.append(_calls(run_scan, spec, str(tmp_path / f"sweep{steps}.csv")))
     assert (calls[1] - calls[0]) / 1000 <= 20
+
+
+@pytest.mark.parametrize("interferometer, budget", [("SU2", 249), ("SU11", 253)])
+def test_shared_gamma_point_record_call_budget(interferometer, budget):
+    # Python-level calls for one TwoArm row with equal etas: one gamma and one
+    # matrix per estimation mode (285 and 289 calls when every candidate root
+    # went through the matrix path)
+    assert _calls(point_record, load_spec(_document(interferometer, "TwoArm"))) <= budget
 
 
 def _eta_sweep_document(start, stop, steps):

@@ -1,6 +1,7 @@
 """Lossy information matrices, analytic optima, and limit regimes."""
 
 import math
+import sys
 from enum import Enum
 
 import pytest
@@ -69,6 +70,74 @@ def test_two_arm_with_transparent_arm_b_matches_single(gamma_b):
     assert two.f_pp == pytest.approx(single.f_pp, rel=1e-14)
     assert two.f_mm == pytest.approx(single.f_mm, rel=1e-14)
     assert two.f_pm == pytest.approx(single.f_pm, rel=1e-14)
+
+
+def _written_out_single(stats, loss):
+    """c_matrix_single with its elements written out, as it was before it
+    became qfim_matrix of the kept moments; returns the matrix and its
+    cross term 2 u cov."""
+    eta, gamma = loss.eta_a, loss.gamma
+    u = eta - gamma * (1.0 - eta)
+    big_l = (gamma + 1.0) ** 2 * (1.0 - eta) * eta * stats.mean_a
+    ua_va = u * u * stats.var_a + big_l
+    cross = 2.0 * u * stats.cov
+    return (ua_va + stats.var_b + cross, ua_va + stats.var_b - cross, ua_va - stats.var_b), cross
+
+
+def _written_out_two(stats, loss):
+    """c_matrix_two with its elements written out; see _written_out_single."""
+    u_a = 1.0 - (loss.gamma_a + 1.0) * (1.0 - loss.eta_a)
+    u_b = 1.0 - (loss.gamma_b + 1.0) * (1.0 - loss.eta_b)
+    l_a = (loss.gamma_a + 1.0) ** 2 * (1.0 - loss.eta_a) * loss.eta_a * stats.mean_a
+    l_b = (loss.gamma_b + 1.0) ** 2 * (1.0 - loss.eta_b) * loss.eta_b * stats.mean_b
+    arm_a = u_a * u_a * stats.var_a + l_a
+    arm_b = u_b * u_b * stats.var_b + l_b
+    cross = 2.0 * u_a * u_b * stats.cov
+    return (arm_a + arm_b + cross, arm_a + arm_b - cross, arm_a - arm_b), cross
+
+
+def _matches_written_out(matrix, written_out):
+    """Bitwise equality (repr, so NaN and -0.0 count), except where the
+    cross term is below twice the least normal float: there the library's
+    2 (u cov) rounds u cov to a subnormal step before doubling, where
+    (2 u) cov rounds once, so each element may move by one ulp."""
+    elements, cross = written_out
+    subnormal = 0.0 < abs(cross) < 2.0 * sys.float_info.min
+    for got, want in zip(matrix, elements):
+        if subnormal:
+            assert abs(got - want) <= math.ulp(max(abs(got), abs(want)))
+        else:
+            assert repr(got) == repr(want)
+
+
+_REF_MOMENT = st.one_of(st.sampled_from([0.0, 1.0, 1e150]), st.floats(0.0, 1e150))
+_REF_J = st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0))
+_REF_ETA = st.one_of(st.sampled_from([0.0, 1e-9, 1.0]), st.floats(0.0, 1.0))
+_REF_GAMMA = st.one_of(st.just(-1.0), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _ref_statistics(draw):
+    var_a, var_b = draw(_REF_MOMENT), draw(_REF_MOMENT)
+    cov = draw(_REF_J) * math.sqrt(var_a) * math.sqrt(var_b)
+    return ModeStatistics(draw(_REF_MOMENT), draw(_REF_MOMENT), var_a, var_b, cov)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    stats=_ref_statistics(),
+    eta_a=_REF_ETA,
+    eta_b=_REF_ETA,
+    gamma_a=_REF_GAMMA,
+    gamma_b=_REF_GAMMA,
+)
+# inside the absolute Cauchy-Schwarz slack: u**2 = 1e4 scales cov**2 past it
+@example(ModeStatistics(0.0, 0.0, 0.0, 0.0, 1e-16), 0.0, 0.0, 99.0, 99.0)
+def test_c_matrices_match_their_written_out_elements(stats, eta_a, eta_b, gamma_a, gamma_b):
+    single = SingleArmLoss(eta_a, gamma_a)
+    _matches_written_out(c_matrix_single(stats, single), _written_out_single(stats, single))
+    two = TwoArmLoss(eta_a, eta_b, gamma_a, gamma_b)
+    _matches_written_out(c_matrix_two(stats, two), _written_out_two(stats, two))
 
 
 _eta = st.floats(min_value=0.0, max_value=1.0)
