@@ -34,20 +34,12 @@ from .optimizer import (
     optimize_gamma,
 )
 from .qfim_ideal import (
-    EstimationMode,
     FisherMatrix,
     Target,
     overestimation,
     qcrb,
     qfim_matrix,
     two_param_bound,
-)
-from .qfim_lossy import (
-    SingleArmLoss,
-    TwoArmLoss,
-    c_matrix_single,
-    c_matrix_two,
-    gamma_opt_single,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +48,6 @@ __all__ = [
     "Correlations",
     "CutoffTooSmall",
     "DegenerateStatistics",
-    "EstimationMode",
     "FisherMatrix",
     "InterferometerInput",
     "ModeStatistics",
@@ -65,18 +56,13 @@ __all__ = [
     "OptimizationResult",
     "PhaseboundError",
     "SingleArm",
-    "SingleArmLoss",
     "SingularComplement",
     "SplitterKind",
     "SplitterSpec",
     "Target",
     "TwoArmIndependent",
-    "TwoArmLoss",
     "TwoArmSymmetric",
-    "c_matrix_single",
-    "c_matrix_two",
     "derived_correlations",
-    "gamma_opt_single",
     "lbs_moments",
     "nbs_moments",
     "optimize_gamma",

@@ -45,7 +45,6 @@ from .optimizer import (
     optimize_gamma,
 )
 from .qfim_ideal import (
-    EstimationMode,
     Target,
     _split,
     overestimation,
@@ -123,10 +122,6 @@ _READS = {
 }
 _OPTIONAL = ("eta_b", "gamma", "gamma_b")
 _FIXED_NAMES = {*_OPTIONAL, *(name for names in _READS.values() for name in names)}
-_ESTIMATIONS = {
-    "SingleParameter": EstimationMode.SINGLE_PARAMETER,
-    "TwoParameter": EstimationMode.TWO_PARAMETER,
-}
 
 
 class ScanSpec(
@@ -142,6 +137,8 @@ class ScanSpec(
     |alpha|^2), squeeze_r, splitter_ratio (reflectivity over
     transmissivity, SU2) or gain (SU11), and eta when loss is present.
     Construction checks this, and that the swept variable is one of them.
+    estimation is the configuration's SingleParameter or TwoParameter; it
+    only picks which bound fills info_optimal.
     """
 
     __slots__ = ()
@@ -149,7 +146,7 @@ class ScanSpec(
     def __new__(
         cls,
         interferometer: Interferometer,
-        estimation: EstimationMode,
+        estimation: str,
         loss: LossKind,
         fixed: dict,
         swept_variable: Optional[str] = None,
@@ -187,12 +184,12 @@ def _parse_enum(kind, raw, field: str):
         raise ConfigError(f"{field} must be one of: {allowed}; got {raw!r}") from None
 
 
-def _parse_estimation(raw) -> EstimationMode:
-    if not isinstance(raw, str) or raw not in _ESTIMATIONS:
+def _parse_estimation(raw) -> str:
+    if raw not in ("SingleParameter", "TwoParameter"):
         raise ConfigError(
             f"estimation must be SingleParameter or TwoParameter, got {raw!r}"
         )
-    return _ESTIMATIONS[raw]
+    return raw
 
 
 def _convert(kind, raw, field: str):
@@ -310,14 +307,11 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
             family = TwoArmSymmetric(eta)
         else:
             family = TwoArmIndependent(eta, eta_b)
-        res_two = optimize_gamma(stats, family, target)
-        res_single = optimize_gamma(
-            stats, family, target, mode=EstimationMode.SINGLE_PARAMETER
-        )
-        fm, gamma_numeric = res_two.matrix, res_two.argmin
-        info_single, info_two = res_single.minimum, res_two.minimum
+        res = optimize_gamma(stats, family, target)
+        fm, gamma_numeric = res.matrix, res.argmin
+        info_single, info_two = res.single_minimum, res.minimum
 
-    single = spec.estimation is EstimationMode.SINGLE_PARAMETER
+    single = spec.estimation == "SingleParameter"
     # keys in CSV_COLUMNS order: run_scan writes the values as they come
     return {
         "swept_value": swept_value,
@@ -362,7 +356,7 @@ def run_scan(spec: ScanSpec, output_path: str) -> None:
         "library": {"name": "phasebound", "version": __version__},
         "spec": {
             "interferometer": spec.interferometer.value,
-            "estimation": next(k for k, v in _ESTIMATIONS.items() if v is spec.estimation),
+            "estimation": spec.estimation,
             "loss": spec.loss.value,
             "swept_variable": spec.swept_variable,
             "range": [spec.start, spec.stop, spec.steps],

@@ -32,6 +32,7 @@ class CutoffTooSmall(PhaseboundError):
 
 class NonFiniteObjective(PhaseboundError):
     """A bound came out NaN or infinite: the Schur kernel's diagonal or its
-    f_pm**2/comp term overflowed, the optimal gamma is out of float range,
-    or the diagonal at the optimal gamma is not finite."""
+    f_pm**2/comp term overflowed, an optimal gamma (two- or single-parameter)
+    is out of float range, or the target diagonal at the single-parameter
+    gamma is not finite."""
 

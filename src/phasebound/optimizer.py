@@ -2,9 +2,11 @@
 
 Every gamma gives a valid bound (Escher, de Matos Filho and Davidovich,
 Nat. Phys. 7, 406 (2011)), so the reportable number is the global minimum
-over gamma. Each loss family gives one gamma in closed form, without a
-search; the bound is then read once, from C at that gamma, by the same
-kernel that reports it for any other gamma.
+over gamma. Two minima are reported: the two-parameter (Schur) bound and
+the single-parameter one, the bare target diagonal. Each loss family gives
+both gammas in closed form from one solve, without a search; each bound is
+then read from C at its gamma, by the same kernel that reports it for any
+other gamma.
 
 The Schur bound diag - f_pm**2/comp of a PSD 2x2 C is min_t v^T C v with
 v = e_target + t e_other. With w = (1 + t, 1 - t) for the phase sum or
@@ -18,8 +20,8 @@ freely, so the minimum is w^T M w with M = V (I + K V)^-1, K = D^-1: each
 variance combines in parallel with eta <n>/(1 - eta), Escher's single-mode
 result for correlated arms. The ideal kernel (``qfim_matrix``,
 ``two_param_bound``) on M gives the least bound, and its diagonal the least
-single-parameter information. The argmin follows from t* = -F_pm/F_comp
-(0 for one parameter), z = (I + K V)^-1 w and
+single-parameter information. The argmins follow from t* = -F_pm/F_comp
+and t = 0 (the diagonal), z = (I + K V)^-1 w and
 gamma_i = (1 - z_i/w_i)/(1 - eta_i) - 1, computed without inverting V or D.
 A free gamma_i (eta_i = 1, or w_i = 0) is reported as 0; an arm without
 variance takes gamma_i = -1 (u_i = 1).
@@ -31,8 +33,10 @@ S and L are quadratics in t with vertices t_S and t_L; dg/dt has the sign
 of the quintic (1 - eta) L'' (t - t_L) S**2 + S'' (t - t_S) L**2, negative
 below both vertices and positive above, so the minima lie between them,
 among the quintic's roots, isolated between those of its derivatives.
-One parameter means t = 0. Of these candidates the one with the least g
-gives gamma = S/((1 - eta) S + L) - 1; the matrix is built only there.
+Of these candidates the one with the least g gives
+gamma = S/((1 - eta) S + L) - 1; the matrix is built only there. The
+diagonal is the form at t = 0, so its gamma comes from S and L there, in
+the same solve.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import NamedTuple, Union
 
 from .errors import NonFiniteObjective
 from .moments import ModeStatistics
-from .qfim_ideal import EstimationMode, FisherMatrix, Target, qfim_matrix, two_param_bound
+from .qfim_ideal import FisherMatrix, Target, qfim_matrix, two_param_bound
 from .qfim_ideal import _split, _tol
 from .qfim_lossy import SingleArmLoss, TwoArmLoss, _check_eta, c_matrix_single, c_matrix_two
 
@@ -86,17 +90,21 @@ class TwoArmIndependent(namedtuple("TwoArmIndependent", "eta_a eta_b")):
 
 
 class OptimizationResult(NamedTuple):
-    """Outcome of a gamma minimization: argmin is one gamma, or a
-    (gamma_a, gamma_b) pair for independent arms; matrix is C at argmin,
-    the one minimum was read from; evaluations is always 1 (one matrix per
-    call), kept because the benchmark reads it; converged is False only
-    when the infimum is approached as a gamma runs to infinity."""
+    """Outcome of a gamma minimization. argmin, minimum, matrix and converged
+    describe the two-parameter bound: argmin is one gamma, or a
+    (gamma_a, gamma_b) pair for independent arms; matrix is C at argmin, the
+    one minimum was read from; converged is False only when that infimum is
+    approached as a gamma runs to infinity. evaluations is always 1 (one solve
+    per call), kept because the benchmark reads it. single_minimum is the least
+    target diagonal of C, the single-parameter information; it is always
+    attained."""
 
     argmin: Union[float, tuple[float, float]]
     minimum: float
     evaluations: int
     converged: bool
     matrix: FisherMatrix
+    single_minimum: float
 
 
 def _loss_weights(eta: float, mean: float, var: float) -> tuple[float, float]:
@@ -110,11 +118,12 @@ def _loss_weights(eta: float, mean: float, var: float) -> tuple[float, float]:
 
 
 def _pair_argmin(
-    stats: ModeStatistics, eta_a: float, eta_b: float, target: Target, mode: EstimationMode
-) -> tuple[tuple[float, float], bool]:
-    """Closed-form (gamma_a, gamma_b), and False when the infimum needs a gamma_i
-    at infinity (w_i = 0 but z_i != 0). Works in standard units sd_i z_i, where
-    V is the correlation matrix, so arms of any relative size keep precision."""
+    stats: ModeStatistics, eta_a: float, eta_b: float, target: Target
+) -> tuple[list[tuple[float, float]], bool]:
+    """Closed-form (gamma_a, gamma_b) at t* and at t = 0, and False when the
+    infimum at t* needs a gamma_i at infinity (w_i = 0 but z_i != 0); at t = 0,
+    w = (1, +-1) never vanishes. Works in standard units sd_i z_i, where V is
+    the correlation matrix, so arms of any relative size keep precision."""
     sd_a, sd_b = math.sqrt(stats.var_a) or 1.0, math.sqrt(stats.var_b) or 1.0
     r_a, r_b = float(stats.var_a > 0.0), float(stats.var_b > 0.0)
     j = math.copysign(min(abs(stats.cov / sd_a / sd_b), 1.0), stats.cov)
@@ -123,33 +132,34 @@ def _pair_argmin(
     s = max(r_a * r_b - j * j, 0.0)
     # det = 0 only with no loss term on either arm and |J| = 1: then M = 0 and z = 0
     det = b_a * b_b * s + a_a * b_b * r_b + a_b * b_a * r_a + a_a * a_b or math.inf
-    t = 0.0
-    if mode is EstimationMode.TWO_PARAMETER:
-        m = (
-            a_a * (b_b * s + a_b * r_a) * stats.var_a,
-            a_b * (b_a * s + a_a * r_b) * stats.var_b,
-            a_a * a_b * j * sd_a * sd_b,
-        )
-        fm = qfim_matrix(ModeStatistics(stats.mean_a, stats.mean_b, *(x / det for x in m)))
-        comp = _split(fm, target)[1]
-        # 0 where the Schur kernel treats f_pm as zero, as two_param_bound does
-        t = -fm.f_pm / comp if comp > 0.0 and abs(fm.f_pm) > _tol(fm) else 0.0
-    w_a, w_b = 1.0 + t, (1.0 - t if target is Target.PHASE_SUM else t - 1.0)
-    v_a, v_b = sd_a * w_a, sd_b * w_b  # w in standard units
-    y_a = ((b_b * r_b + a_b) * a_a * v_a - b_a * j * a_b * v_b) / det
-    y_b = ((b_a * r_a + a_a) * a_b * v_b - b_b * j * a_a * v_a) / det
-    gammas, attained = [], True
-    for y, v, sd, b, eta in ((y_a, v_a, sd_a, b_a, eta_a), (y_b, v_b, sd_b, b_b, eta_b)):
-        if b == 0.0:  # pinned at u_i = 1, where gamma_i = -1 unless eta_i = 1
-            gammas.append(_FREE_GAMMA if eta == 1.0 else -1.0)
-        elif v == 0.0:  # z_i = y/sd is linear in w and dimensionless: compare it with w
-            attained = attained and abs(y / sd) <= 1e-9 * (abs(w_a) + abs(w_b))
-            gammas.append(_FREE_GAMMA)
-        else:
-            gammas.append((1.0 - y / v) / (1.0 - eta) - 1.0)
-    if not all(abs(g) < 1e150 for g in gammas):  # the matrix path squares gamma
-        raise NonFiniteObjective(f"optimal gamma {gammas} is out of float range")
-    return (gammas[0], gammas[1]), attained
+    m = (
+        a_a * (b_b * s + a_b * r_a) * stats.var_a,
+        a_b * (b_a * s + a_a * r_b) * stats.var_b,
+        a_a * a_b * j * sd_a * sd_b,
+    )
+    fm = qfim_matrix(ModeStatistics(stats.mean_a, stats.mean_b, *(x / det for x in m)))
+    comp = _split(fm, target)[1]
+    # 0 where the Schur kernel treats f_pm as zero, as two_param_bound does
+    t_star = -fm.f_pm / comp if comp > 0.0 and abs(fm.f_pm) > _tol(fm) else 0.0
+    pairs, attained = [], True
+    for t in (t_star, 0.0):
+        w_a, w_b = 1.0 + t, (1.0 - t if target is Target.PHASE_SUM else t - 1.0)
+        v_a, v_b = sd_a * w_a, sd_b * w_b  # w in standard units
+        y_a = ((b_b * r_b + a_b) * a_a * v_a - b_a * j * a_b * v_b) / det
+        y_b = ((b_a * r_a + a_a) * a_b * v_b - b_b * j * a_a * v_a) / det
+        gammas = []
+        for y, v, sd, b, eta in ((y_a, v_a, sd_a, b_a, eta_a), (y_b, v_b, sd_b, b_b, eta_b)):
+            if b == 0.0:  # pinned at u_i = 1, where gamma_i = -1 unless eta_i = 1
+                gammas.append(_FREE_GAMMA if eta == 1.0 else -1.0)
+            elif v == 0.0:  # z_i = y/sd is linear in w and dimensionless: compare it with w
+                attained = attained and abs(y / sd) <= 1e-9 * (abs(w_a) + abs(w_b))
+                gammas.append(_FREE_GAMMA)
+            else:
+                gammas.append((1.0 - y / v) / (1.0 - eta) - 1.0)
+        if not all(abs(g) < 1e150 for g in gammas):  # the matrix path squares gamma
+            raise NonFiniteObjective(f"optimal gamma {gammas} is out of float range")
+        pairs.append((gammas[0], gammas[1]))
+    return pairs, attained
 
 
 def _horner(p: list[float], x: float) -> float:
@@ -185,13 +195,20 @@ def _unit_roots(p: list[float]) -> list[float]:
     return roots + edges
 
 
-def _shared_gamma(
-    stats: ModeStatistics, eta: float, target: Target, mode: EstimationMode
-) -> float:
-    """The gamma at which the symmetric-loss bound takes its minimum."""
+def _least_gamma(pairs: list[tuple[float, float]], b: float) -> float:
+    """The gamma of the (S, L) candidate with the least g: u = L/(b S + L)
+    gives gamma + 1 = S/(b S + L) and g = L (gamma + 1); where S = L = 0 the
+    form vanishes for every gamma."""
+    candidates = [(lv, sv / (b * sv + lv) if b * sv + lv > 0.0 else 1.0) for sv, lv in pairs]
+    return min(candidates, key=lambda c: c[0] * c[1])[1] - 1.0
+
+
+def _shared_gamma(stats: ModeStatistics, eta: float, target: Target) -> tuple[float, float]:
+    """The gammas at which the symmetric-loss bound and its diagonal (t = 0)
+    take their minima."""
     b = 1.0 - eta
     if b == 0.0:
-        return _FREE_GAMMA  # the matrix does not depend on gamma
+        return _FREE_GAMMA, _FREE_GAMMA  # the matrix does not depend on gamma
     mean_a, mean_b, va, vb, cov = stats
     top = max(stats)
     if top > _RESCALE_ABOVE:
@@ -202,7 +219,7 @@ def _shared_gamma(
     a_a, a_b = eta * mean_a, eta * mean_b
     l2 = a_a + a_b
     if l2 == 0.0:
-        return eta / b  # no loss term: C = u**2 F, least at u = 0
+        return eta / b, eta / b  # no loss term: C = u**2 F, least at u = 0
     cov = cov if target is Target.PHASE_SUM else -cov
     # S = (p + q t)**2 + r (1 + e t)**2 (larger variance first) stays accurate at |J| = 1
     big, e = (va, -1.0) if va >= vb else (vb, 1.0)
@@ -211,9 +228,7 @@ def _shared_gamma(
     p, q = root + ratio, e * (ratio - root)
     r = max(va * vb - cov * cov, 0.0) / big if big else 0.0
     s2, t_l, l0 = q * q + r, (a_b - a_a) / l2, 4.0 * a_a * a_b / l2  # S = s2 (t - t_s)**2 + s0
-    if mode is EstimationMode.SINGLE_PARAMETER:
-        pairs = [(p * p + r, l2)]  # (S, L) at t = 0
-    elif s2 == 0.0:
+    if s2 == 0.0:
         pairs = [(p * p, l0)]  # S is constant: g is least where L is
     else:
         s0 = r * (p - e * q) ** 2 / s2
@@ -232,40 +247,36 @@ def _shared_gamma(
         ]
         sigmas = sorted(set(_unit_roots(quintic)))
         pairs = [(alpha * (sg - 1.0) ** 2 + s0, beta * sg * sg + l0) for sg in sigmas]
-    # (L, gamma + 1) per candidate: u = L/(b S + L) gives gamma + 1 = S/(b S + L)
-    # and g = L (gamma + 1); where S = L = 0 the form vanishes for every gamma
-    candidates = [(lv, sv / (b * sv + lv) if b * sv + lv > 0.0 else 1.0) for sv, lv in pairs]
-    return min(candidates, key=lambda c: c[0] * c[1])[1] - 1.0
+    return _least_gamma(pairs, b), _least_gamma([(p * p + r, l2)], b)  # (S, L) at t = 0
 
 
 def optimize_gamma(
     stats: ModeStatistics,
     loss_family: Union[SingleArm, TwoArmSymmetric, TwoArmIndependent],
     target: Target,
-    mode: EstimationMode = EstimationMode.TWO_PARAMETER,
 ) -> OptimizationResult:
-    """Globally minimize the information bound over the loss distribution gamma.
+    """Globally minimize both information bounds over the loss distribution gamma.
 
-    mode selects the quantity being minimized: the two-parameter
-    Schur-complement bound (default) or the bare diagonal element used
-    by single-parameter estimation. In two-parameter mode the kernel's own
-    errors propagate; in single-parameter mode a diagonal that is not
-    finite raises NonFiniteObjective.
+    One solve gives the two-parameter Schur-complement bound (argmin,
+    minimum, matrix, converged) and the bare diagonal that single-parameter
+    estimation reports (single_minimum). The Schur kernel's own errors
+    propagate; a diagonal that is not finite raises NonFiniteObjective.
     """
     if isinstance(loss_family, TwoArmSymmetric):
         eta, attained = loss_family.eta, True
-        gamma = _shared_gamma(stats, eta, target, mode)
-        matrix = c_matrix_two(stats, TwoArmLoss(eta, eta, gamma, gamma))
+        gammas = _shared_gamma(stats, eta, target)
+        c_matrix, losses = c_matrix_two, [TwoArmLoss(eta, eta, g, g) for g in gammas]
     elif isinstance(loss_family, SingleArm):
-        (gamma, _), attained = _pair_argmin(stats, loss_family.eta, 1.0, target, mode)
-        matrix = c_matrix_single(stats, SingleArmLoss(loss_family.eta, gamma))
+        pairs, attained = _pair_argmin(stats, loss_family.eta, 1.0, target)
+        gammas = [gamma for gamma, _ in pairs]
+        c_matrix, losses = c_matrix_single, [SingleArmLoss(loss_family.eta, g) for g in gammas]
     elif isinstance(loss_family, TwoArmIndependent):
-        gamma, attained = _pair_argmin(stats, *loss_family, target, mode)
-        matrix = c_matrix_two(stats, TwoArmLoss(*loss_family, *gamma))
+        gammas, attained = _pair_argmin(stats, *loss_family, target)
+        c_matrix, losses = c_matrix_two, [TwoArmLoss(*loss_family, *g) for g in gammas]
     else:
         raise TypeError(f"unknown loss family: {loss_family!r}")
-    if mode is EstimationMode.TWO_PARAMETER:
-        minimum = two_param_bound(matrix, target)  # raises where the kernel does
-    elif not math.isfinite(minimum := _split(matrix, target)[0]):
-        raise NonFiniteObjective(f"diagonal {minimum} at gamma {gamma} is not finite")
-    return OptimizationResult(gamma, minimum, 1, attained, matrix)
+    matrix = c_matrix(stats, losses[0])
+    minimum = two_param_bound(matrix, target)  # raises where the kernel does
+    if not math.isfinite(single := _split(c_matrix(stats, losses[1]), target)[0]):
+        raise NonFiniteObjective(f"diagonal {single} at gamma {gammas[1]} is not finite")
+    return OptimizationResult(gammas[0], minimum, 1, attained, matrix, single)

@@ -24,11 +24,6 @@ class Target(Enum):
     PHASE_DIFFERENCE = "phase_difference"  # phi_minus, the SU(2) estimand
 
 
-class EstimationMode(Enum):
-    SINGLE_PARAMETER = "single_parameter"
-    TWO_PARAMETER = "two_parameter"
-
-
 class FisherMatrix(namedtuple("FisherMatrix", "f_pp f_mm f_pm")):
     """Symmetric 2x2 information matrix (ideal F or lossy C).
 
@@ -83,7 +78,8 @@ def _schur_terms(fm: FisherMatrix, target: Target) -> tuple[float, float]:
     shared by the bound and the overestimation: the second term is 0.0
     when f_pm is zero within tolerance; SingularComplement when only the
     complementary diagonal is; NonFiniteObjective when either term is not
-    finite (f_pm**2 overflows long before the moments do)."""
+    finite. Where f_pm**2 overflows but the shift need not, the shift is
+    taken as f_pm * (f_pm / comp)."""
     diag, comp = _split(fm, target)
     tol = _tol(fm)
     if abs(fm.f_pm) <= tol:
@@ -94,6 +90,8 @@ def _schur_terms(fm: FisherMatrix, target: Target) -> tuple[float, float]:
         )
     else:
         shift = fm.f_pm * fm.f_pm / comp
+        if shift == math.inf:  # f_pm**2 overflows from |f_pm| ~ 1.3e154
+            shift = fm.f_pm * (fm.f_pm / comp)
     if not (math.isfinite(diag) and math.isfinite(shift)):
         raise NonFiniteObjective(
             f"Schur terms diag={diag} and shift={shift} are not finite"

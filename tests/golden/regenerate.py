@@ -48,8 +48,8 @@ _LOSSLESS_SWEEPS = {"SU2": ("splitter_ratio", [0.0, 3.0, 4]), "SU11": ("gain", [
 _ETA_SWEEP = ("eta", [-0.25, 1.0, 6])
 _ESTIMATIONS = ("SingleParameter", "TwoParameter")
 
-# huge inputs, where the shared-gamma solver must not overflow; one-arm and
-# unequal-arm loss end in an overflowing Schur term there
+# huge inputs, where the shared-gamma solver must not overflow; under one-arm
+# and unequal-arm loss f_pm**2 overflows there, and the Schur term must not
 _BALANCED = {
     "SU2": {"squeeze_r": 0.5, "splitter_ratio": 1.0, "eta": 0.5},
     "SU11": {"squeeze_r": 0.5, "gain": 1.5, "eta": 0.5},

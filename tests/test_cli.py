@@ -32,7 +32,7 @@ from phasebound.cli import (
 )
 from phasebound.errors import PhaseboundError
 from phasebound.moments import nbs_moments
-from phasebound.qfim_ideal import EstimationMode
+from phasebound.optimizer import optimize_gamma
 from phasebound.qfim_lossy import SingleArmLoss, c_matrix_single
 
 SU2_LOSSLESS = {
@@ -57,7 +57,7 @@ SU11_ONE_ARM = {
 def test_load_spec_minimal():
     spec = load_spec(dict(SU2_LOSSLESS))
     assert spec.interferometer is Interferometer.SU2
-    assert spec.estimation is EstimationMode.TWO_PARAMETER
+    assert spec.estimation == "TwoParameter"
     assert spec.loss is LossKind.NONE
     assert spec.swept_variable is None
     assert spec.repeats == 1
@@ -327,10 +327,25 @@ def test_lossless_scan_row_call_budget(tmp_path, interferometer):
 
 @pytest.mark.parametrize("interferometer, budget", [("SU2", 249), ("SU11", 253)])
 def test_shared_gamma_point_record_call_budget(interferometer, budget):
-    # Python-level calls for one TwoArm row with equal etas: one gamma and one
-    # matrix per estimation mode (285 and 289 calls when every candidate root
-    # went through the matrix path)
+    # Python-level calls for one TwoArm row with equal etas: one solve for
+    # both gammas and one matrix per bound (285 and 289 calls when every
+    # candidate root went through the matrix path)
     assert _calls(point_record, load_spec(_document(interferometer, "TwoArm"))) <= budget
+
+
+@pytest.mark.parametrize("loss", ["OneArm", "TwoArm", "TwoArmUnequal"])
+def test_lossy_point_record_solves_once(monkeypatch, loss):
+    # one optimize_gamma call returns both the two- and the single-parameter bound
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return optimize_gamma(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_gamma", counted)
+    record = point_record(load_spec(_document("SU11", loss)))
+    assert len(solves) == 1
+    assert record["info_two"] < record["info_single"]
 
 
 def _eta_sweep_document(start, stop, steps):
@@ -411,7 +426,7 @@ def test_scan_spec_direct_construction_validates():
     with pytest.raises(ConfigError):
         ScanSpec(
             interferometer=Interferometer.SU2,
-            estimation=EstimationMode.TWO_PARAMETER,
+            estimation="TwoParameter",
             loss=LossKind.NONE,
             fixed={},
             swept_variable="eta",
@@ -912,6 +927,28 @@ def test_main_scan_reports_an_unwritable_output_before_any_row(tmp_path, capsys,
     assert rows == []
 
 
+def _schur_reference(record, target, eta=1.0, eta_b=1.0):
+    """(info_two, delta_f) at 50 digits, from the record's own moments and
+    gamma: C at that gamma by the formulas of qfim_lossy, then the Schur
+    complement for the target."""
+    mp = pytest.importorskip("mpmath")
+    gamma = record["gamma_opt_numeric"]
+    gammas = (0.0, 0.0) if gamma is None else gamma if isinstance(gamma, list) else (gamma, 0.0)
+    with mp.workdps(50):
+        kept = []
+        for arm, eta_i, gamma_i in (("a", eta, gammas[0]), ("b", eta_b, gammas[1])):
+            eta_i, lost = mp.mpf(eta_i), mp.mpf(gamma_i) + 1
+            u = 1 - lost * (1 - eta_i)
+            loss = lost**2 * (1 - eta_i) * eta_i * mp.mpf(record[f"mean_{arm}"])
+            kept.append((u, u**2 * mp.mpf(record[f"var_{arm}"]) + loss))
+        (u_a, var_a), (u_b, var_b) = kept
+        cov = u_a * u_b * mp.mpf(record["cov"])
+        f_pp, f_mm, f_pm = var_a + var_b + 2 * cov, var_a + var_b - 2 * cov, var_a - var_b
+        diag, comp = (f_pp, f_mm) if target == "SU11" else (f_mm, f_pp)
+        shift = f_pm**2 / comp
+        return float(diag - shift), float(shift)
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -925,11 +962,14 @@ def test_main_scan_reports_an_unwritable_output_before_any_row(tmp_path, capsys,
     ],
     ids=["SU2", "SU11"],
 )
-def test_main_point_names_an_overflowing_schur_term(tmp_path, capsys, document):
-    # the moments and F are finite; f_pm**2 is not
+def test_main_point_takes_an_overflowing_schur_product_in_range(tmp_path, capsys, document):
+    # the moments, F and the bound are finite; only f_pm**2 is not
     code = main(["point", "--config", _write_config(tmp_path, document)])
-    assert code == EXIT_COMPUTE
-    assert "computation failed: NonFiniteObjective: Schur terms" in capsys.readouterr().err
+    assert code == EXIT_OK
+    record = json.loads(capsys.readouterr().out)
+    info_two, delta_f = _schur_reference(record, document["interferometer"])
+    assert record["info_two"] == pytest.approx(info_two, rel=4.5e-16)
+    assert record["delta_f"] == pytest.approx(delta_f, rel=4.5e-16)
 
 
 @pytest.mark.parametrize(
@@ -937,14 +977,18 @@ def test_main_point_names_an_overflowing_schur_term(tmp_path, capsys, document):
     [("OneArm", {}), ("TwoArm", {"eta_b": 0.7})],
     ids=["OneArm", "TwoArm-unequal"],
 )
-def test_main_point_names_an_overflowing_schur_term_under_loss(tmp_path, capsys, loss, extra):
-    # every gamma candidate's bound is infinite; the optimizer re-raises the
-    # kernel's own error for the best one
+def test_main_point_takes_an_overflowing_schur_product_in_range_under_loss(
+    tmp_path, capsys, loss, extra
+):
     fixed = {"alpha_photons": 1e200, "squeeze_r": 0.5, "splitter_ratio": 1.0, "eta": 0.5}
     document = {**SU2_LOSSLESS, "loss": loss, "fixed": {**fixed, **extra}}
     code = main(["point", "--config", _write_config(tmp_path, document)])
-    assert code == EXIT_COMPUTE
-    assert "computation failed: NonFiniteObjective: Schur terms" in capsys.readouterr().err
+    assert code == EXIT_OK
+    record = json.loads(capsys.readouterr().out)
+    info_two, delta_f = _schur_reference(record, "SU2", 0.5, extra.get("eta_b", 1.0))
+    assert record["info_two"] == pytest.approx(info_two, rel=4.5e-16)
+    assert record["delta_f"] == pytest.approx(delta_f, rel=4.5e-16)
+    assert record["info_two"] <= record["info_single"] < math.inf
 
 
 def test_cli_flag_set_is_pinned():

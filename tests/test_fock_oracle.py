@@ -11,12 +11,8 @@ from phasebound import (
     FisherMatrix,
     InterferometerInput,
     ModeStatistics,
-    SingleArmLoss,
     SplitterKind,
     SplitterSpec,
-    TwoArmLoss,
-    c_matrix_single,
-    c_matrix_two,
     lbs_moments,
     nbs_moments,
     qfim_matrix,
@@ -32,6 +28,7 @@ from phasebound.fock_oracle import (
     measure_moments,
     prepare_input,
 )
+from phasebound.qfim_lossy import SingleArmLoss, TwoArmLoss, c_matrix_single, c_matrix_two
 
 
 def _rel(found, expected, scale):

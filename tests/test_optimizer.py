@@ -21,24 +21,18 @@ from hypothesis import strategies as st
 
 from phasebound import (
     Correlations,
-    EstimationMode,
     FisherMatrix,
     InterferometerInput,
     ModeStatistics,
     NonFiniteObjective,
     OptimizationResult,
     SingleArm,
-    SingleArmLoss,
     SingularComplement,
     SplitterKind,
     SplitterSpec,
     Target,
     TwoArmIndependent,
-    TwoArmLoss,
     TwoArmSymmetric,
-    c_matrix_single,
-    c_matrix_two,
-    gamma_opt_single,
     lbs_moments,
     nbs_moments,
     optimize_gamma,
@@ -47,11 +41,26 @@ from phasebound import (
 )
 from phasebound.cli import Interferometer, LossKind, ScanSpec
 from phasebound.fock_oracle import TruncatedState
+from phasebound.optimizer import _pair_argmin, _shared_gamma
+from phasebound.qfim_lossy import (
+    SingleArmLoss,
+    TwoArmLoss,
+    c_matrix_single,
+    c_matrix_two,
+    gamma_opt_single,
+)
 
 SU2_STATS = lbs_moments(InterferometerInput(2.0, 0.5, SplitterSpec.lbs(0.7)))
 SU11_STATS = nbs_moments(InterferometerInput(2.0, 0.5, SplitterSpec.nbs(1.2)))
-TWO = EstimationMode.TWO_PARAMETER
-SINGLE = EstimationMode.SINGLE_PARAMETER
+
+
+def _single_gamma(stats, family, target):
+    """The t = 0 gamma, at which optimize_gamma reads single_minimum."""
+    if isinstance(family, TwoArmSymmetric):
+        return _shared_gamma(stats, family.eta, target)[1]
+    if isinstance(family, SingleArm):
+        return _pair_argmin(stats, family.eta, 1.0, target)[0][1][0]
+    return _pair_argmin(stats, *family, target)[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +249,14 @@ def test_single_arm_result_reproduces_matrix_value():
 
 def test_single_param_mode_minimizes_the_diagonal():
     eta = 0.5
-    result = optimize_gamma(
-        SU2_STATS,
-        SingleArm(eta),
-        Target.PHASE_DIFFERENCE,
-        mode=EstimationMode.SINGLE_PARAMETER,
-    )
+    result = optimize_gamma(SU2_STATS, SingleArm(eta), Target.PHASE_DIFFERENCE)
     rng = np.random.default_rng(7)
     for gamma in rng.uniform(-1.5, 1.5, size=50):
         cm = c_matrix_single(SU2_STATS, SingleArmLoss(eta, gamma))
-        assert result.minimum <= cm.f_mm * (1.0 + 1e-12)
+        assert result.single_minimum <= cm.f_mm * (1.0 + 1e-12)
     # the diagonal dominates the Schur complement pointwise, so the two
     # minima are ordered the same way
-    two = optimize_gamma(SU2_STATS, SingleArm(eta), Target.PHASE_DIFFERENCE)
-    assert result.minimum >= two.minimum * (1.0 - 1e-12)
+    assert result.single_minimum >= result.minimum * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +311,12 @@ def test_optimizer_reports_evaluation_count():
     # one matrix, at that gamma
     families = (SingleArm(0.5), TwoArmSymmetric(0.5), TwoArmIndependent(0.5, 0.8))
     for family in families:
-        for mode in EstimationMode:
-            result = optimize_gamma(SU2_STATS, family, Target.PHASE_DIFFERENCE, mode=mode)
-            assert result.evaluations == 1
+        result = optimize_gamma(SU2_STATS, family, Target.PHASE_DIFFERENCE)
+        assert result.evaluations == 1
     lossless = optimize_gamma(SU2_STATS, TwoArmSymmetric(1.0), Target.PHASE_DIFFERENCE)
     assert lossless.evaluations == 1 and lossless.argmin == 0.0
 
 
-@pytest.mark.parametrize("mode", list(EstimationMode))
 @pytest.mark.parametrize(
     "family, matrix_at",
     [
@@ -328,16 +329,15 @@ def test_optimizer_reports_evaluation_count():
     ],
     ids=["single_arm", "two_arm_symmetric", "two_arm_independent"],
 )
-def test_result_matrix_is_c_at_the_argmin(family, matrix_at, mode):
+def test_result_matrix_is_c_at_the_argmin(family, matrix_at):
     # the CLI reports this matrix's elements and overestimation for the row
-    result = optimize_gamma(SU11_STATS, family, Target.PHASE_SUM, mode=mode)
+    result = optimize_gamma(SU11_STATS, family, Target.PHASE_SUM)
     expected = matrix_at(result.argmin)
     for field in ("f_pp", "f_mm", "f_pm"):
         assert getattr(result.matrix, field) == getattr(expected, field), field
-    if mode is TWO:
-        assert result.minimum == two_param_bound(result.matrix, Target.PHASE_SUM)
-    else:
-        assert result.minimum == result.matrix.f_pp
+    assert result.minimum == two_param_bound(result.matrix, Target.PHASE_SUM)
+    single_gamma = _single_gamma(SU11_STATS, family, Target.PHASE_SUM)
+    assert result.single_minimum == matrix_at(single_gamma).f_pp
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +423,11 @@ def test_minimum_is_the_ideal_kernel_on_the_effective_covariance():
         fm = qfim_matrix(effective)
         family = TwoArmIndependent(eta_a, eta_b)
         for target in Target:
-            two = optimize_gamma(stats, family, target)
-            single = optimize_gamma(stats, family, target, mode=SINGLE)
+            result = optimize_gamma(stats, family, target)
             diag = fm.f_pp if target is Target.PHASE_SUM else fm.f_mm
-            assert two.converged and single.converged
-            assert two.minimum == pytest.approx(two_param_bound(fm, target), rel=1e-9)
-            assert single.minimum == pytest.approx(diag, rel=1e-9)
+            assert result.converged
+            assert result.minimum == pytest.approx(two_param_bound(fm, target), rel=1e-9)
+            assert result.single_minimum == pytest.approx(diag, rel=1e-9)
 
 
 def test_one_arm_closed_form_recovers_the_analytic_gamma():
@@ -536,15 +535,15 @@ def test_shared_gamma_bound_is_proportional_to_a_huge_input(moments, splitter, t
     assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12)
 
 
-@pytest.mark.parametrize("mode", list(EstimationMode))
-def test_lossless_families_are_the_ideal_bound(mode):
+def test_lossless_families_are_the_ideal_bound():
     fm = qfim_matrix(SU11_STATS)
-    want = two_param_bound(fm, Target.PHASE_SUM) if mode is TWO else fm.f_pp
     for family in (SingleArm(1.0), TwoArmSymmetric(1.0), TwoArmIndependent(1.0, 1.0)):
-        result = optimize_gamma(SU11_STATS, family, Target.PHASE_SUM, mode=mode)
+        result = optimize_gamma(SU11_STATS, family, Target.PHASE_SUM)
         assert result.converged
-        assert result.minimum == pytest.approx(want, rel=1e-12)
+        assert result.minimum == pytest.approx(two_param_bound(fm, Target.PHASE_SUM), rel=1e-12)
+        assert result.single_minimum == pytest.approx(fm.f_pp, rel=1e-12)
         assert result.argmin in (0.0, (0.0, 0.0))  # gamma does not enter
+        assert _single_gamma(SU11_STATS, family, Target.PHASE_SUM) in (0.0, (0.0, 0.0))
 
 
 def test_opaque_arm_leaves_no_phase_sum_information():
@@ -557,8 +556,8 @@ def test_opaque_arm_leaves_no_phase_sum_information():
         assert result.minimum == pytest.approx(0.0, abs=1e-9)
     _, gamma_b = optimize_gamma(stats, TwoArmIndependent(0.0, 0.6), Target.PHASE_SUM).argmin
     assert gamma_b == 0.0
-    single = optimize_gamma(stats, SingleArm(0.0), Target.PHASE_SUM, mode=SINGLE)
-    assert single.minimum == pytest.approx(stats.var_b - stats.cov**2 / stats.var_a, rel=1e-12)
+    single = optimize_gamma(stats, SingleArm(0.0), Target.PHASE_SUM).single_minimum
+    assert single == pytest.approx(stats.var_b - stats.cov**2 / stats.var_a, rel=1e-12)
 
 
 @pytest.mark.parametrize("eta", [0.3, 0.7])
@@ -568,11 +567,10 @@ def test_vacuum_arm_gives_escher_single_mode_bound(eta):
     stats = ModeStatistics(3.0, 0.0, 5.0, 0.0, 0.0)
     want = eta * 3.0 * 5.0 / ((1.0 - eta) * 5.0 + eta * 3.0)
     for family in (SingleArm(eta), TwoArmSymmetric(eta), TwoArmIndependent(eta, 0.5)):
-        single = optimize_gamma(stats, family, Target.PHASE_SUM, mode=SINGLE)
-        two = optimize_gamma(stats, family, Target.PHASE_SUM)
-        assert single.converged and two.converged
-        assert single.minimum == pytest.approx(want, rel=1e-12)
-        assert two.minimum == pytest.approx(0.0, abs=1e-12)  # phi_b stays unknown
+        result = optimize_gamma(stats, family, Target.PHASE_SUM)
+        assert result.converged
+        assert result.single_minimum == pytest.approx(want, rel=1e-12)
+        assert result.minimum == pytest.approx(0.0, abs=1e-12)  # phi_b stays unknown
 
 
 @pytest.mark.parametrize("target", list(Target))
@@ -581,11 +579,12 @@ def test_perfect_correlation_without_loss_terms(target):
     # zero information reached at u = 0 (gamma = 0)
     stats = ModeStatistics(2.0, 2.0, 4.0, 1.0, 2.0)
     for family in (TwoArmIndependent(0.0, 0.0), TwoArmSymmetric(0.0)):
-        for mode in EstimationMode:
-            result = optimize_gamma(stats, family, target, mode=mode)
-            assert result.converged
-            assert result.minimum == pytest.approx(0.0, abs=1e-12)
-            assert result.argmin in (0.0, (0.0, 0.0))
+        result = optimize_gamma(stats, family, target)
+        assert result.converged
+        assert result.minimum == pytest.approx(0.0, abs=1e-12)
+        assert result.single_minimum == pytest.approx(0.0, abs=1e-12)
+        assert result.argmin in (0.0, (0.0, 0.0))
+        assert _single_gamma(stats, family, target) in (0.0, (0.0, 0.0))
 
 
 def test_argmin_out_of_float_range_is_an_error():
@@ -625,8 +624,9 @@ def _statistics(draw, interferometer):
     return stats
 
 
-def _bound_at(stats, family, target, mode, gamma):
-    """(matrix-path bound, its rounding allowance) at one gamma.
+def _bound_at(stats, family, target, single, gamma):
+    """(matrix-path bound, its rounding allowance) at one gamma: the target
+    diagonal when single, else the Schur bound.
 
     The complement's relative rounding is about max(C)/comp ulps and the
     correction f_pm**2/comp it enters is at most the diagonal, so the
@@ -640,7 +640,7 @@ def _bound_at(stats, family, target, mode, gamma):
         cm = c_matrix_two(stats, TwoArmLoss(family.eta_a, family.eta_b, *gamma))
     diag, comp = (cm.f_pp, cm.f_mm) if target is Target.PHASE_SUM else (cm.f_mm, cm.f_pp)
     scale = max(1.0, cm.f_pp, cm.f_mm)
-    if mode is SINGLE:
+    if single:
         return diag, 1e-13 * scale
     rounding = 1e-13 * scale * (1.0 + scale / comp) if comp > 0.0 else math.inf
     return two_param_bound(cm, target), rounding
@@ -654,41 +654,51 @@ def test_reported_minimum_is_global(data, interferometer):
     eta_a = data.draw(_ETA)
     eta_b = eta_a if data.draw(st.booleans()) else data.draw(_ETA)
     samples = data.draw(st.lists(_GAMMA_SAMPLE, min_size=1, max_size=8))
-    for mode in EstimationMode:
-        results = {}
-        families = (SingleArm(eta_a), TwoArmSymmetric(eta_a), TwoArmIndependent(eta_a, eta_b))
-        for family in families:
-            try:
-                result = optimize_gamma(stats, family, target, mode=mode)
-            except SingularComplement:
-                # under the kernel's zero threshold already without loss
-                with pytest.raises(SingularComplement):
-                    two_param_bound(qfim_matrix(stats), target)
-                continue
-            except NonFiniteObjective:
-                # only an arm ~1e-300 times quieter than the other pushes the
-                # argmin (about sqrt(var_a/var_b)) out of float range
-                assert min(stats.var_a, stats.var_b) < 1e-280 * max(stats.var_a, stats.var_b)
-                continue
-            value, rounding = _bound_at(stats, family, target, mode, result.argmin)
-            results[type(family)] = (result.minimum, rounding)
-            assert result.converged
-            assert result.minimum == value
-            if isinstance(family, TwoArmIndependent):
-                gammas = [(a, b) for a in _GRID[::10] for b in _GRID[::10]]
-                gammas += [(g, h) for g in samples for h in samples]
-            else:
-                gammas = [*_GRID, *samples]
+    results = {False: {}, True: {}}  # single -> family type -> (minimum, rounding)
+    families = (SingleArm(eta_a), TwoArmSymmetric(eta_a), TwoArmIndependent(eta_a, eta_b))
+    for family in families:
+        try:
+            result = optimize_gamma(stats, family, target)
+        except SingularComplement:
+            # under the kernel's zero threshold already without loss
+            with pytest.raises(SingularComplement):
+                two_param_bound(qfim_matrix(stats), target)
+            continue
+        except NonFiniteObjective:
+            # only an arm ~1e-300 times quieter than the other pushes the
+            # argmin (about sqrt(var_a/var_b)) out of float range
+            assert min(stats.var_a, stats.var_b) < 1e-280 * max(stats.var_a, stats.var_b)
+            continue
+        assert result.converged
+        found = {}  # single -> (minimum, rounding)
+        for single, minimum, argmin in (
+            (False, result.minimum, result.argmin),
+            (True, result.single_minimum, _single_gamma(stats, family, target)),
+        ):
+            value, rounding = _bound_at(stats, family, target, single, argmin)
+            assert minimum == value
+            found[single] = results[single][type(family)] = (minimum, rounding)
+        # the overestimation is never negative at the optimum: where f_pm
+        # vanishes the two are equal in exact arithmetic and differ by rounding
+        (two, two_rounding), (one, one_rounding) = found[False], found[True]
+        assert two <= one * (1 + 1e-9) + two_rounding + one_rounding
+        if isinstance(family, TwoArmIndependent):
+            gammas = [(a, b) for a in _GRID[::10] for b in _GRID[::10]]
+            gammas += [(g, h) for g in samples for h in samples]
+        else:
+            gammas = [*_GRID, *samples]
+        for single, (minimum, rounding) in found.items():
             for gamma in gammas:
                 try:
-                    value, sampled_rounding = _bound_at(stats, family, target, mode, gamma)
+                    value, sampled_rounding = _bound_at(stats, family, target, single, gamma)
                 except SingularComplement:
                     continue  # no bound where the complement vanishes
                 slack = rounding + sampled_rounding
-                assert result.minimum <= value * (1 + 1e-9) + slack, (family, gamma)
-        if eta_a == eta_b and len(results) == 3:
-            sym, sym_rounding = results[TwoArmSymmetric]
-            indep, indep_rounding = results[TwoArmIndependent]
+                assert minimum <= value * (1 + 1e-9) + slack, (family, single, gamma)
+    for found in results.values():
+        if eta_a == eta_b and len(found) == 3:
+            sym, sym_rounding = found[TwoArmSymmetric]
+            indep, indep_rounding = found[TwoArmIndependent]
             assert indep <= sym * (1 + 1e-9) + sym_rounding + indep_rounding
 
 
@@ -703,11 +713,10 @@ def test_off_diagonal_under_the_kernel_threshold_is_not_divided():
         0.46122755590756537,
         0.4612275559075655,
     )
-    single = optimize_gamma(stats, SingleArm(0.0625), Target.PHASE_SUM, mode=SINGLE)
-    two = optimize_gamma(stats, SingleArm(0.0625), Target.PHASE_SUM)
-    assert two.converged
-    assert two.argmin == single.argmin
-    assert two.minimum <= single.minimum
+    result = optimize_gamma(stats, SingleArm(0.0625), Target.PHASE_SUM)
+    assert result.converged
+    assert result.argmin == _single_gamma(stats, SingleArm(0.0625), Target.PHASE_SUM)
+    assert result.minimum <= result.single_minimum
 
 
 def test_importing_the_cli_does_not_load_scipy():
@@ -815,13 +824,12 @@ def test_cli_oracle_names_are_the_fock_engine_functions(name):
 
 
 PUBLIC_NAMES = {
-    "Correlations", "CutoffTooSmall", "DegenerateStatistics", "EstimationMode",
+    "Correlations", "CutoffTooSmall", "DegenerateStatistics",
     "FisherMatrix", "InterferometerInput", "ModeStatistics",
     "NonFiniteObjective", "NonpositiveInformation", "OptimizationResult",
-    "PhaseboundError", "SingleArm", "SingleArmLoss",
+    "PhaseboundError", "SingleArm",
     "SingularComplement", "SplitterKind", "SplitterSpec", "Target",
-    "TwoArmIndependent", "TwoArmLoss", "TwoArmSymmetric", "c_matrix_single",
-    "c_matrix_two", "derived_correlations", "gamma_opt_single", "lbs_moments",
+    "TwoArmIndependent", "TwoArmSymmetric", "derived_correlations", "lbs_moments",
     "nbs_moments", "optimize_gamma", "overestimation", "qcrb", "qfim_matrix",
     "two_param_bound", "__version__",
 }
@@ -831,7 +839,7 @@ def test_public_surface_is_pinned():
     # forms used only as test references live in the tests, not the package
     import phasebound
 
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 26
     assert set(phasebound.__all__) == PUBLIC_NAMES
     assert len(phasebound.__all__) == len(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
@@ -859,13 +867,14 @@ _VALUE_TYPES = [
             "evaluations": 1,
             "converged": True,
             "matrix": FisherMatrix(2.0, 1.0, 0.5),
+            "single_minimum": 2.0,
         },
     ),
     (
         ScanSpec,
         {
             "interferometer": Interferometer.SU2,
-            "estimation": TWO,
+            "estimation": "TwoParameter",
             "loss": LossKind.NONE,
             "fixed": {"alpha_photons": 1.0, "squeeze_r": 0.3, "splitter_ratio": 1.0},
             "swept_variable": "alpha_photons",
@@ -895,7 +904,7 @@ def test_value_types_are_immutable_and_print_their_fields(kind, fields):
 
 def test_scan_spec_defaults_describe_one_point():
     fixed = {"alpha_photons": 1.0, "squeeze_r": 0.3, "splitter_ratio": 1.0}
-    spec = ScanSpec(Interferometer.SU2, TWO, LossKind.NONE, fixed)
+    spec = ScanSpec(Interferometer.SU2, "TwoParameter", LossKind.NONE, fixed)
     sweep = (spec.swept_variable, spec.start, spec.stop, spec.steps, spec.repeats)
     assert sweep == (None, 0.0, 0.0, 0, 1)
 

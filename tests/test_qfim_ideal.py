@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phasebound import (
@@ -101,13 +101,40 @@ def test_two_param_bound_ratio_identity():
     )
 
 
-def test_overflowing_schur_term_raises():
-    fm = FisherMatrix(2.5e300, 2.5e300, 1e300)  # f_pm**2 overflows, f_pm**2/comp would not
+def test_overflowing_schur_product_is_taken_in_range():
+    mp = pytest.importorskip("mpmath")
+    fm = FisherMatrix(2.5e300, 2.5e300, 1e300)  # f_pm**2 overflows, f_pm**2/comp does not
+    with mp.workdps(50):
+        shift = mp.mpf(fm.f_pm) ** 2 / mp.mpf(fm.f_pp)
+        bound = mp.mpf(fm.f_pp) - shift
     for target in Target:
-        with pytest.raises(NonFiniteObjective, match="shift=inf"):
-            two_param_bound(fm, target)
-        with pytest.raises(NonFiniteObjective):
-            overestimation(fm, target)
+        assert two_param_bound(fm, target) == pytest.approx(float(bound), rel=2.3e-16)
+        assert overestimation(fm, target) == pytest.approx(float(shift), rel=2.3e-16)
+    assert float(bound) == pytest.approx(2.1e300) and float(shift) == pytest.approx(4e299)
+    # a shift itself out of float range still raises (the PSD check's slack
+    # overflows at this scale, so the matrix is accepted)
+    with pytest.raises(NonFiniteObjective, match="shift=inf"):
+        two_param_bound(FisherMatrix(1e308, 1e297, 1e305), Target.PHASE_SUM)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_pp=st.floats(min_value=-4.0, max_value=154.0),
+    log_ratio=st.floats(min_value=-8.0, max_value=8.0),
+    j=st.floats(min_value=-1.0, max_value=1.0).filter(lambda j: abs(j) >= 1e-3),
+    target=st.sampled_from(list(Target)),
+)
+def test_schur_shift_keeps_its_bytes_where_f_pm_squared_is_finite(log_pp, log_ratio, j, target):
+    # up to the overflow of f_pm**2 the shift is the plain quotient, bit for bit
+    f_pp = 10.0**log_pp
+    f_mm = f_pp * 10.0**log_ratio
+    fm = FisherMatrix(f_pp, f_mm, j * math.sqrt(f_pp) * math.sqrt(f_mm))
+    diag, comp = (f_pp, f_mm) if target is Target.PHASE_SUM else (f_mm, f_pp)
+    tol = 1e-12 * max(1.0, f_pp, f_mm)
+    assume(abs(fm.f_pm) > tol and comp > tol and math.isfinite(fm.f_pm * fm.f_pm))
+    shift = fm.f_pm * fm.f_pm / comp
+    assert overestimation(fm, target) == shift
+    assert two_param_bound(fm, target) == diag - shift
 
 
 def test_singular_complement_raises():

@@ -13,20 +13,22 @@ from phasebound import (
     SingleArm,
     InterferometerInput,
     ModeStatistics,
-    SingleArmLoss,
     SplitterSpec,
     Target,
     TwoArmIndependent,
-    TwoArmLoss,
     TwoArmSymmetric,
-    c_matrix_single,
-    c_matrix_two,
     derived_correlations,
-    gamma_opt_single,
     lbs_moments,
     nbs_moments,
     qfim_matrix,
     two_param_bound,
+)
+from phasebound.qfim_lossy import (
+    SingleArmLoss,
+    TwoArmLoss,
+    c_matrix_single,
+    c_matrix_two,
+    gamma_opt_single,
 )
 
 SU2_STATS = lbs_moments(InterferometerInput(2.0, 0.5, SplitterSpec.lbs(0.7)))
