@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 from .errors import DegenerateStatistics
 
-# Relative slack on the Cauchy-Schwarz check; closed forms can overshoot
-# |cov| = sqrt(var_a var_b) by a few ulps at |J| -> 1.
-_CS_SLACK = 1e-9
+# Relative slack on the Cauchy-Schwarz check |cov| <= sqrt(var_a var_b);
+# closed forms can overshoot it by a few ulps at |J| -> 1.
+_CS_SLACK = 5e-10
 
 
 class SplitterKind(Enum):
@@ -91,14 +91,9 @@ class ModeStatistics(namedtuple("ModeStatistics", "mean_a mean_b var_a var_b cov
             raise ValueError("mean photon numbers must be >= 0")
         if var_a < 0.0 or var_b < 0.0:
             raise ValueError("variances must be >= 0")
-        # Cauchy-Schwarz with slack for closed-form rounding; where both
-        # products overflow (moments above ~1e154) the square roots decide
-        square, bound = cov * cov, var_a * var_b * (1.0 + _CS_SLACK) + 1e-30
-        if square > bound or (
-            square == bound == math.inf
-            and abs(cov) > math.sqrt(var_a) * math.sqrt(var_b) * (1.0 + _CS_SLACK)
-        ):
-            root = math.sqrt(var_a) * math.sqrt(var_b)
+        # square roots first, so no product over- or underflows at any scale
+        root = math.sqrt(var_a) * math.sqrt(var_b)
+        if abs(cov) > root * (1.0 + _CS_SLACK):
             raise ValueError(f"cov={cov} violates |cov| <= sqrt(var_a*var_b)={root}")
         return tuple.__new__(cls, (mean_a, mean_b, var_a, var_b, cov))
 

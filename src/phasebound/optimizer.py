@@ -53,9 +53,6 @@ from .qfim_lossy import SingleArmLoss, TwoArmLoss, _check_eta, c_matrix_single, 
 
 _FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
 _ULP = 2.0**-52
-# moments above this are scaled down before the shared-gamma quintic, whose
-# coefficients are cubic in them and overflow near 1e102
-_RESCALE_ABOVE = 1e60
 
 
 class SingleArm(namedtuple("SingleArm", "eta")):
@@ -137,7 +134,8 @@ def _pair_argmin(
         a_b * (b_a * s + a_a * r_b) * stats.var_b,
         a_a * a_b * j * sd_a * sd_b,
     )
-    fm = qfim_matrix(ModeStatistics(stats.mean_a, stats.mean_b, *(x / det for x in m)))
+    # unchecked: M is PSD, but a subnormal variance in it loses the bits the check needs
+    fm = qfim_matrix(tuple.__new__(ModeStatistics, (*stats[:2], *(x / det for x in m))))
     comp = _split(fm, target)[1]
     # 0 where the Schur kernel treats f_pm as zero, as two_param_bound does
     t_star = -fm.f_pm / comp if comp > 0.0 and abs(fm.f_pm) > _tol(fm) else 0.0
@@ -209,13 +207,13 @@ def _shared_gamma(stats: ModeStatistics, eta: float, target: Target) -> tuple[fl
     b = 1.0 - eta
     if b == 0.0:
         return _FREE_GAMMA, _FREE_GAMMA  # the matrix does not depend on gamma
-    mean_a, mean_b, va, vb, cov = stats
-    top = max(stats)
-    if top > _RESCALE_ABOVE:
-        # every quantity below is homogeneous in the moments: an exact power of
-        # four scales each by an exact power of two and leaves gamma as it is
-        shift = -2 * (math.frexp(top)[1] // 2)
-        mean_a, mean_b, va, vb, cov = (math.ldexp(x, shift) for x in stats)
+    # all below is homogeneous in the moments (the quintic is cubic in them): an exact
+    # power of four brings the largest near 1, scales each quantity by an exact power
+    # of two and leaves gamma as it is
+    shift = -2 * (math.frexp(max(stats))[1] // 2)
+    mean_a, mean_b = math.ldexp(stats.mean_a, shift), math.ldexp(stats.mean_b, shift)
+    va, vb = math.ldexp(stats.var_a, shift), math.ldexp(stats.var_b, shift)
+    cov = math.ldexp(stats.cov, shift)
     a_a, a_b = eta * mean_a, eta * mean_b
     l2 = a_a + a_b
     if l2 == 0.0:
@@ -225,7 +223,8 @@ def _shared_gamma(stats: ModeStatistics, eta: float, target: Target) -> tuple[fl
     big, e = (va, -1.0) if va >= vb else (vb, 1.0)
     root = math.sqrt(big)
     ratio = cov / root if root else 0.0
-    p, q = root + ratio, e * (ratio - root)
+    # at cov = big (|J| = 1, equal variances) q is 0, which ratio - root misses by rounding
+    p, q = root + ratio, (0.0 if cov == big else e * (ratio - root))
     r = max(va * vb - cov * cov, 0.0) / big if big else 0.0
     s2, t_l, l0 = q * q + r, (a_b - a_a) / l2, 4.0 * a_a * a_b / l2  # S = s2 (t - t_s)**2 + s0
     if s2 == 0.0:

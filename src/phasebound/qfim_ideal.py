@@ -15,7 +15,8 @@ from enum import Enum
 from .errors import NonFiniteObjective, NonpositiveInformation, SingularComplement
 from .moments import ModeStatistics
 
-# Positive-semidefiniteness slack for matrices assembled from rounded moments
+# Positive-semidefiniteness slack for matrices assembled from rounded moments,
+# relative to the largest |element| (on the diagonals) and to its square (det)
 _PSD_SLACK = 1e-10
 
 
@@ -38,19 +39,21 @@ class FisherMatrix(namedtuple("FisherMatrix", "f_pp f_mm f_pm")):
     __slots__ = ()
 
     def __new__(cls, f_pp: float, f_mm: float, f_pm: float) -> "FisherMatrix":
-        # rounding leaves vanishing diagonals (and the determinant) ulps below 0
-        scale = max(1.0, f_pp, f_mm)
+        # rounding leaves vanishing diagonals (and det) ulps below 0: both are judged in
+        # units of the largest |element|, and no product can overflow (inf gives NaN)
+        scale = max(abs(f_pp), abs(f_mm), abs(f_pm))
         if min(f_pp, f_mm) < -_PSD_SLACK * scale:
             raise ValueError("diagonal information elements must be >= 0")
-        det = f_pp * f_mm - f_pm * f_pm
-        if det < -_PSD_SLACK * scale * scale:
-            raise ValueError(f"matrix is not positive semidefinite: det={det}")
+        if scale:
+            det = (f_pp / scale * f_mm - f_pm / scale * f_pm) / scale
+            if det < -_PSD_SLACK:
+                raise ValueError(f"matrix is not positive semidefinite: det={det} * {scale}**2")
         return tuple.__new__(cls, (f_pp, f_mm, f_pm))
 
 
 def _tol(fm: FisherMatrix) -> float:
-    # scale-aware zero threshold for singular denominators
-    return 1e-12 * max(1.0, fm.f_pp, fm.f_mm)
+    # zero threshold for singular denominators, in the matrix's own units
+    return 1e-12 * max(fm.f_pp, fm.f_mm)
 
 
 def _split(fm: FisherMatrix, target: Target) -> tuple[float, float]:
@@ -65,12 +68,14 @@ def qfim_matrix(stats: ModeStatistics) -> FisherMatrix:
 
     The elements are var_a + var_b + 2 cov (sum-sum), var_a + var_b
     - 2 cov (difference-difference) and var_a - var_b (off-diagonal).
+    Built unchecked: the moments are checked, and the lossy C is PSD by
+    construction up to u**2 var underflowing (|u| < 1e-154), which no check can judge.
     """
-    return FisherMatrix(
-        f_pp=stats.var_a + stats.var_b + 2.0 * stats.cov,
-        f_mm=stats.var_a + stats.var_b - 2.0 * stats.cov,
-        f_pm=stats.var_a - stats.var_b,
-    )
+    return tuple.__new__(FisherMatrix, (
+        stats.var_a + stats.var_b + 2.0 * stats.cov,
+        stats.var_a + stats.var_b - 2.0 * stats.cov,
+        stats.var_a - stats.var_b,
+    ))
 
 
 def _schur_terms(fm: FisherMatrix, target: Target) -> tuple[float, float]:

@@ -69,8 +69,8 @@ def c_matrix_single(stats: ModeStatistics, loss: SingleArmLoss) -> FisherMatrix:
     eta, gamma = loss.eta_a, loss.gamma
     u = eta - gamma * (1.0 - eta)
     big_l = (gamma + 1.0) ** 2 * (1.0 - eta) * eta * stats.mean_a
-    # tuple.__new__ skips the Cauchy-Schwarz check, whose absolute slack of 1e-30
-    # would, once scaled by u**2, reject tiny moments that passed it
+    # tuple.__new__ skips the Cauchy-Schwarz check: u**2 can underflow a tiny
+    # variance to 0 while u cov stays nonzero, which the check would reject
     kept = (stats.mean_a, stats.mean_b, u * u * stats.var_a + big_l, stats.var_b, u * stats.cov)
     return qfim_matrix(tuple.__new__(ModeStatistics, kept))
 

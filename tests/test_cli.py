@@ -991,6 +991,52 @@ def test_main_point_takes_an_overflowing_schur_product_in_range_under_loss(
     assert record["info_two"] <= record["info_single"] < math.inf
 
 
+_WEAK_SU2 = {
+    **SU2_LOSSLESS,
+    "fixed": {"alpha_photons": 1e-13, "squeeze_r": 1e-7, "splitter_ratio": 0.5},
+}
+
+
+def test_weak_input_keeps_its_overestimation():
+    # the bounds are homogeneous of degree 1 in the moments, so ~1e-13 photons
+    # keep the Schur gap; an absolute zero threshold of 1e-12 on f_pm reported
+    # delta_f 0.0 and info_two = info_single, 5.6 % above the Schur value
+    record = point_record(load_spec(_WEAK_SU2))
+    info_two, delta_f = _schur_reference(record, "SU2")
+    assert record["info_two"] == pytest.approx(info_two, rel=1e-12)
+    assert record["delta_f"] == pytest.approx(delta_f, rel=1e-12)
+    assert record["info_two"] < record["info_single"]
+
+
+def test_weak_input_under_loss_reaches_the_least_bound():
+    # one lossy arm: the least Schur bound over gamma is that of the effective
+    # covariance M = V (I + K V)^-1, K = diag((1 - eta)/(eta <n_a>), 0), at 50
+    # digits (the absolute threshold reported the diagonal, 5.4e-4 above it)
+    mp = pytest.importorskip("mpmath")
+    fixed = {**_WEAK_SU2["fixed"], "eta": 0.6}
+    record = point_record(load_spec({**_WEAK_SU2, "loss": "OneArm", "fixed": fixed}))
+    with mp.workdps(50):
+        mean_a, var_a = mp.mpf(record["mean_a"]), mp.mpf(record["var_a"])
+        var_b, cov = mp.mpf(record["var_b"]), mp.mpf(record["cov"])
+        d = mp.mpf(0.6) * mean_a / (1 - mp.mpf(0.6))
+        m_aa, m_ab = var_a * d / (d + var_a), cov * d / (d + var_a)
+        m_bb = var_b - cov**2 / (d + var_a)
+        f_pp, f_mm = m_aa + m_bb + 2 * m_ab, m_aa + m_bb - 2 * m_ab
+        least = float(f_mm - (m_aa - m_bb) ** 2 / f_pp)
+    assert record["info_two"] == pytest.approx(least, rel=1e-12)
+    assert record["info_two"] < record["info_single"]
+
+
+@pytest.mark.parametrize("gain, info", [(1.5, 2.0454545454545454), (2.0, 5.333333333333334)])
+def test_vacuum_su11_under_symmetric_loss_has_no_overestimation(gain, info):
+    # vacuum into an NBS gives |J| = 1 and equal variances: f_pm = 0, so the
+    # two bounds coincide; a rounding residue in the shared-gamma quintic made
+    # the two-parameter bound 11.25 and 48.0
+    fixed = {"alpha_photons": 0.0, "squeeze_r": 0.0, "gain": gain, "eta": 0.5}
+    record = point_record(load_spec(_document("SU11", "TwoArm", fixed=fixed)))
+    assert record["info_two"] == record["info_single"] == info
+
+
 def test_cli_flag_set_is_pinned():
     # one way to set each value: a flag here is a second way to set a JSON field
     commands = next(

@@ -83,14 +83,40 @@ def test_mode_statistics_rejects_negative_variance():
 
 
 def test_mode_statistics_rejects_cauchy_schwarz_violation():
-    with pytest.raises(ValueError, match="violates"):
-        ModeStatistics(1.0, 1.0, 1.0, 1.0, 3.0)
+    # |J| = 3, and at small scale |J| = 1.5 and |J| = inf, which an absolute
+    # slack of 1e-30 on cov**2 let through
+    for moments in [(1.0, 1.0, 1.0, 1.0, 3.0), (1, 1, 1e-16, 1e-16, 1.5e-16), (0, 0, 0, 0, 1e-16)]:
+        with pytest.raises(ValueError, match="violates"):
+            ModeStatistics(*moments)
 
 
 def test_mode_statistics_rejects_cauchy_schwarz_violation_past_overflow():
     # cov**2 and var_a*var_b both overflow to inf here
     with pytest.raises(ValueError, match=r"violates \|cov\| <= sqrt\(var_a\*var_b\)=1e\+200"):
         ModeStatistics(1e200, 1e200, 1e200, 1e200, 1e250)
+
+
+@pytest.mark.parametrize("squeeze_r", [0.0, 1e-150, 0.5])
+@pytest.mark.parametrize(
+    "moments, splitter",
+    [(lbs_moments, SplitterSpec.lbs(0.3)), (nbs_moments, SplitterSpec.nbs(1.5))],
+)
+def test_faint_closed_form_states_pass_cauchy_schwarz(moments, splitter, squeeze_r):
+    # alpha_photons 1e-300, the counterpart of the huge states below
+    moments(InterferometerInput(1e-150, squeeze_r, splitter))
+
+
+@pytest.mark.parametrize("gain", [1.5, 1e3, 1e6])
+@pytest.mark.parametrize("alpha, squeeze_r", [(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)])
+def test_closed_forms_at_unit_correlation_pass_cauchy_schwarz_at_every_scale(
+    alpha, squeeze_r, gain
+):
+    # an NBS drives J to 1 (exactly for vacuum, to an ulp at gain 1e6), and
+    # the check is relative, so scaling the moments by 4**k keeps them valid
+    stats = nbs_moments(InterferometerInput(alpha, squeeze_r, SplitterSpec.nbs(gain)))
+    assert abs(derived_correlations(stats).j) > 0.95
+    for k in range(-200, 201, 20):
+        ModeStatistics(*(math.ldexp(x, 2 * k) for x in stats))
 
 
 @pytest.mark.parametrize("squeeze_r", [0.0, 0.5, 2.0])

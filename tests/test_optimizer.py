@@ -36,6 +36,7 @@ from phasebound import (
     lbs_moments,
     nbs_moments,
     optimize_gamma,
+    overestimation,
     qfim_matrix,
     two_param_bound,
 )
@@ -595,6 +596,19 @@ def test_argmin_out_of_float_range_is_an_error():
         optimize_gamma(stats, TwoArmIndependent(1.0, 0.0), Target.PHASE_DIFFERENCE)
 
 
+def test_subnormal_variance_reaches_the_range_check():
+    # var_a 5.9e-318 keeps few bits, so the effective covariance built from it
+    # overshoots Cauchy-Schwarz by rounding; M is not checked, and the solve
+    # reaches the real obstacle, a gamma out of float range
+    stats = ModeStatistics(
+        1.046419e-317, 0.37290017776011286, 5.855305e-318, 1.0, 2.4197738255029106e-159
+    )
+    for family in (SingleArm(0.3), TwoArmIndependent(0.3, 0.5)):
+        for target in Target:
+            with pytest.raises(NonFiniteObjective, match="out of float range"):
+                optimize_gamma(stats, family, target)
+
+
 # ---------------------------------------------------------------------------
 # property: the reported minimum is global
 
@@ -700,6 +714,67 @@ def test_reported_minimum_is_global(data, interferometer):
             sym, sym_rounding = found[TwoArmSymmetric]
             indep, indep_rounding = found[TwoArmIndependent]
             assert indep <= sym * (1 + 1e-9) + sym_rounding + indep_rounding
+
+
+def test_near_singular_one_arm_bound_is_the_ideal_schur_value():
+    # |J| = 1 to 1 ulp and a loss of 1e-12: the infimum, 6.0e-16, lies at
+    # gamma = -1, where C is the ideal F; an absolute zero threshold on f_pm
+    # of 1e-12 reported 1.866e-12 at gamma 1.732
+    mp = pytest.importorskip("mpmath")
+    stats = ModeStatistics(0.25, 0.75, 0.25, 0.75, -0.4330127018922193)
+    result = optimize_gamma(stats, SingleArm(1e-12), Target.PHASE_DIFFERENCE)
+    with mp.workdps(60):
+        var_a, var_b, cov = mp.mpf(stats.var_a), mp.mpf(stats.var_b), mp.mpf(stats.cov)
+        f_pp, f_mm = var_a + var_b + 2 * cov, var_a + var_b - 2 * cov
+        least = f_mm - (var_a - var_b) ** 2 / f_pp
+    # the rest is the cancellation of f_mm - f_pm**2/f_pp, ulps of the diagonal
+    assert result.argmin == -1.0
+    assert abs(result.minimum - float(least)) <= 4 * math.ulp(result.matrix.f_mm)
+
+
+_SCALED_MOMENT = st.floats(min_value=0.1, max_value=50.0)
+# loss terms eta <n> under ~1e-150 have squares out of the normal range, where no
+# scaling is exact; at the least scale, 0.1 * 4**-200, that bounds eta from below
+_SCALED_ETA = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=1e-12, max_value=1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    moments=st.tuples(*[_SCALED_MOMENT] * 4),
+    j=st.one_of(st.sampled_from([1.0, -1.0, 0.0]), st.floats(-1.0, 1.0)),
+    equal_variances=st.booleans(),
+    etas=st.tuples(_SCALED_ETA, _SCALED_ETA),
+    target=st.sampled_from(list(Target)),
+    k=st.integers(-200, 200),
+)
+def test_bounds_scale_with_the_moments(moments, j, equal_variances, etas, target, k):
+    # every bound is homogeneous of degree 1 in the five moments and gamma of
+    # degree 0: scaling them by 4**k scales each bound by exactly 4**k
+    mean_a, mean_b, var_a, var_b = moments
+    var_b = var_a if equal_variances else var_b
+    stats = ModeStatistics(mean_a, mean_b, var_a, var_b, j * math.sqrt(var_a) * math.sqrt(var_b))
+    scaled = ModeStatistics(*(math.ldexp(x, 2 * k) for x in stats))
+    families = (SingleArm(etas[0]), TwoArmSymmetric(etas[0]), TwoArmIndependent(*etas))
+
+    def outputs(s, shift):
+        """(dimensionless outputs, outputs of degree 1 scaled by 2**shift)."""
+        fm = qfim_matrix(s)
+        try:
+            kernel = [two_param_bound(fm, target), overestimation(fm, target)]
+        except SingularComplement:
+            kernel = []
+        fixed, scaling = [len(kernel)], [*fm, *kernel]
+        for family in families:
+            try:
+                result = optimize_gamma(s, family, target)
+            except SingularComplement:
+                fixed.append(type(family))
+                continue
+            fixed += [result.argmin, result.converged]
+            scaling += [result.minimum, result.single_minimum, *result.matrix]
+        return fixed, [repr(math.ldexp(x, shift)) for x in scaling]
+
+    assert outputs(scaled, 0) == outputs(stats, 2 * k)
 
 
 def test_off_diagonal_under_the_kernel_threshold_is_not_divided():

@@ -59,16 +59,25 @@ def test_fisher_matrix_rejects_negative_diagonal():
 def test_fisher_matrix_rejects_indefinite():
     with pytest.raises(ValueError, match="semidefinite"):
         FisherMatrix(1.0, 1.0, 2.0)
+    # past overflow, where f_pp f_mm and f_pm**2 are both inf and the Schur
+    # bound would be -9.9e201; det is reported in units of the largest element
+    with pytest.raises(ValueError, match=r"det=-0\.99 \* 1e\+201\*\*2"):
+        FisherMatrix(1e200, 1e200, 1e201)
 
 
 def test_fisher_matrix_tolerates_rounding_below_zero():
-    # a vanishing diagonal a few ulps negative, and a singular matrix at
-    # scale 4e6 whose determinant lands scale**2 ulps below zero
-    FisherMatrix(-4e-16, 5.0, 1e-8)
-    big = 4.0e6
-    FisherMatrix(big, big, big * (1.0 + 1e-15))
-    with pytest.raises(ValueError, match="semidefinite"):
-        FisherMatrix(big, big, big * (1.0 + 1e-9))
+    # a vanishing diagonal a few ulps negative, and a singular matrix whose
+    # determinant lands scale**2 ulps below zero, at 4e6 and at every scale from
+    # 1e-300 to 1e300, where a diagonal and a determinant 1e-9 below 0 are still
+    # refused (absolute floors let both through at small scales, and a
+    # determinant of inf - inf = nan through at large ones)
+    for scale in [4.0e6, *(10.0**exponent for exponent in range(-300, 301, 10))]:
+        FisherMatrix(-4e-16 * scale, 5.0 * scale, 1e-8 * scale)
+        FisherMatrix(scale, scale, scale * (1.0 + 1e-15))
+        with pytest.raises(ValueError, match="semidefinite"):
+            FisherMatrix(scale, scale, scale * (1.0 + 1e-9))
+        with pytest.raises(ValueError, match=">= 0"):
+            FisherMatrix(-1e-9 * scale, scale, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +120,12 @@ def test_overflowing_schur_product_is_taken_in_range():
         assert two_param_bound(fm, target) == pytest.approx(float(bound), rel=2.3e-16)
         assert overestimation(fm, target) == pytest.approx(float(shift), rel=2.3e-16)
     assert float(bound) == pytest.approx(2.1e300) and float(shift) == pytest.approx(4e299)
-    # a shift itself out of float range still raises (the PSD check's slack
-    # overflows at this scale, so the matrix is accepted)
-    with pytest.raises(NonFiniteObjective, match="shift=inf"):
-        two_param_bound(FisherMatrix(1e308, 1e297, 1e305), Target.PHASE_SUM)
+    # a matrix whose shift would leave float range is not PSD, and is refused
+    with pytest.raises(ValueError, match="semidefinite"):
+        FisherMatrix(1e308, 1e297, 1e305)
+    # an infinite diagonal is accepted by the PSD check and raises in the kernel
+    with pytest.raises(NonFiniteObjective, match="diag=inf"):
+        two_param_bound(FisherMatrix(math.inf, 1.0, 0.5), Target.PHASE_SUM)
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,7 +141,7 @@ def test_schur_shift_keeps_its_bytes_where_f_pm_squared_is_finite(log_pp, log_ra
     f_mm = f_pp * 10.0**log_ratio
     fm = FisherMatrix(f_pp, f_mm, j * math.sqrt(f_pp) * math.sqrt(f_mm))
     diag, comp = (f_pp, f_mm) if target is Target.PHASE_SUM else (f_mm, f_pp)
-    tol = 1e-12 * max(1.0, f_pp, f_mm)
+    tol = 1e-12 * max(f_pp, f_mm)
     assume(abs(fm.f_pm) > tol and comp > tol and math.isfinite(fm.f_pm * fm.f_pm))
     shift = fm.f_pm * fm.f_pm / comp
     assert overestimation(fm, target) == shift

@@ -133,8 +133,10 @@ def _ref_statistics(draw):
     gamma_a=_REF_GAMMA,
     gamma_b=_REF_GAMMA,
 )
-# inside the absolute Cauchy-Schwarz slack: u**2 = 1e4 scales cov**2 past it
-@example(ModeStatistics(0.0, 0.0, 0.0, 0.0, 1e-16), 0.0, 0.0, 99.0, 99.0)
+# u = -6.7e-230 underflows u**2 var_a to 0 while u cov = -5e-306 stays nonzero, at
+# 1e-5 of var_b: the kept moments fail Cauchy-Schwarz, and C is 1e-10 past PSD
+@example(ModeStatistics(0.0, 0.0, 5.599104206714004e147, 1e-300, 7.48271622254513e-77),
+         0.0, 0.0, 6.682132265195883e-230, -1.0)
 def test_c_matrices_match_their_written_out_elements(stats, eta_a, eta_b, gamma_a, gamma_b):
     single = SingleArmLoss(eta_a, gamma_a)
     _matches_written_out(c_matrix_single(stats, single), _written_out_single(stats, single))
