@@ -22,7 +22,9 @@ from typing import NamedTuple
 from .errors import DegenerateStatistics
 
 # Relative slack on the Cauchy-Schwarz check |cov| <= sqrt(var_a var_b);
-# closed forms can overshoot it by a few ulps at |J| -> 1.
+# closed forms can overshoot it by a few ulps at |J| -> 1. One subnormal
+# step is allowed on top: a subnormal variance can round to 0 while cov
+# rounds to that step.
 _CS_SLACK = 5e-10
 
 
@@ -93,7 +95,7 @@ class ModeStatistics(namedtuple("ModeStatistics", "mean_a mean_b var_a var_b cov
             raise ValueError("variances must be >= 0")
         # square roots first, so no product over- or underflows at any scale
         root = math.sqrt(var_a) * math.sqrt(var_b)
-        if abs(cov) > root * (1.0 + _CS_SLACK):
+        if abs(cov) > root * (1.0 + _CS_SLACK) + math.ulp(0.0):
             raise ValueError(f"cov={cov} violates |cov| <= sqrt(var_a*var_b)={root}")
         return tuple.__new__(cls, (mean_a, mean_b, var_a, var_b, cov))
 

@@ -49,41 +49,28 @@ from .errors import NonFiniteObjective
 from .moments import ModeStatistics
 from .qfim_ideal import FisherMatrix, Target, qfim_matrix, two_param_bound
 from .qfim_ideal import _split, _tol
-from .qfim_lossy import SingleArmLoss, TwoArmLoss, _check_eta, c_matrix_single, c_matrix_two
+from .qfim_lossy import SingleArmLoss, TwoArmLoss, _Loss, c_matrix_single, c_matrix_two
 
 _FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
 _ULP = 2.0**-52
 
 
-class SingleArm(namedtuple("SingleArm", "eta")):
+class SingleArm(_Loss, namedtuple("SingleArm", "eta")):
     """Loss on arm a only."""
 
     __slots__ = ()
 
-    def __new__(cls, eta: float) -> "SingleArm":
-        _check_eta("eta", eta)
-        return tuple.__new__(cls, (eta,))
 
-
-class TwoArmSymmetric(namedtuple("TwoArmSymmetric", "eta")):
+class TwoArmSymmetric(_Loss, namedtuple("TwoArmSymmetric", "eta")):
     """Equal loss on both arms, one shared gamma."""
 
     __slots__ = ()
 
-    def __new__(cls, eta: float) -> "TwoArmSymmetric":
-        _check_eta("eta", eta)
-        return tuple.__new__(cls, (eta,))
 
-
-class TwoArmIndependent(namedtuple("TwoArmIndependent", "eta_a eta_b")):
+class TwoArmIndependent(_Loss, namedtuple("TwoArmIndependent", "eta_a eta_b")):
     """Independent loss on both arms, one gamma per arm."""
 
     __slots__ = ()
-
-    def __new__(cls, eta_a: float, eta_b: float) -> "TwoArmIndependent":
-        _check_eta("eta_a", eta_a)
-        _check_eta("eta_b", eta_b)
-        return tuple.__new__(cls, (eta_a, eta_b))
 
 
 class OptimizationResult(NamedTuple):
@@ -130,12 +117,12 @@ def _pair_argmin(
     # det = 0 only with no loss term on either arm and |J| = 1: then M = 0 and z = 0
     det = b_a * b_b * s + a_a * b_b * r_b + a_b * b_a * r_a + a_a * a_b or math.inf
     m = (
-        a_a * (b_b * s + a_b * r_a) * stats.var_a,
-        a_b * (b_a * s + a_a * r_b) * stats.var_b,
-        a_a * a_b * j * sd_a * sd_b,
+        a_a * (b_b * s + a_b * r_a) * stats.var_a / det,
+        a_b * (b_a * s + a_a * r_b) * stats.var_b / det,
+        a_a * a_b * j * sd_a * sd_b / det,
     )
     # unchecked: M is PSD, but a subnormal variance in it loses the bits the check needs
-    fm = qfim_matrix(tuple.__new__(ModeStatistics, (*stats[:2], *(x / det for x in m))))
+    fm = qfim_matrix(tuple.__new__(ModeStatistics, (*stats[:2], *m)))
     comp = _split(fm, target)[1]
     # 0 where the Schur kernel treats f_pm as zero, as two_param_bound does
     t_star = -fm.f_pm / comp if comp > 0.0 and abs(fm.f_pm) > _tol(fm) else 0.0
@@ -154,7 +141,8 @@ def _pair_argmin(
                 gammas.append(_FREE_GAMMA)
             else:
                 gammas.append((1.0 - y / v) / (1.0 - eta) - 1.0)
-        if not all(abs(g) < 1e150 for g in gammas):  # the matrix path squares gamma
+        # the matrix path squares gamma; written so that a NaN is refused too
+        if not (abs(gammas[0]) < 1e150 and abs(gammas[1]) < 1e150):
             raise NonFiniteObjective(f"optimal gamma {gammas} is out of float range")
         pairs.append((gammas[0], gammas[1]))
     return pairs, attained

@@ -27,12 +27,22 @@ from .qfim_ideal import FisherMatrix, Target, qfim_matrix
 from .qfim_ideal import two_param_bound  # noqa: F401
 
 
-def _check_eta(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+class _Loss(tuple):
+    """Base of the loss descriptions, each ``class X(_Loss, namedtuple(...))``:
+    the namedtuple builds the tuple, then every field named eta* must lie in
+    [0, 1], checked in field order."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: float, **kwargs: float) -> "_Loss":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if name.startswith("eta") and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        return self
 
 
-class SingleArmLoss(namedtuple("SingleArmLoss", "eta_a gamma")):
+class SingleArmLoss(_Loss, namedtuple("SingleArmLoss", "eta_a gamma")):
     """Loss on arm a: transmission eta_a and distribution parameter gamma.
 
     gamma is mathematically unconstrained; the physical endpoints sit at
@@ -42,20 +52,11 @@ class SingleArmLoss(namedtuple("SingleArmLoss", "eta_a gamma")):
 
     __slots__ = ()
 
-    def __new__(cls, eta_a: float, gamma: float) -> "SingleArmLoss":
-        _check_eta("eta_a", eta_a)
-        return tuple.__new__(cls, (eta_a, gamma))
 
-
-class TwoArmLoss(namedtuple("TwoArmLoss", "eta_a eta_b gamma_a gamma_b")):
+class TwoArmLoss(_Loss, namedtuple("TwoArmLoss", "eta_a eta_b gamma_a gamma_b")):
     """Independent loss on both arms."""
 
     __slots__ = ()
-
-    def __new__(cls, eta_a: float, eta_b: float, gamma_a: float, gamma_b: float) -> "TwoArmLoss":
-        _check_eta("eta_a", eta_a)
-        _check_eta("eta_b", eta_b)
-        return tuple.__new__(cls, (eta_a, eta_b, gamma_a, gamma_b))
 
 
 def c_matrix_single(stats: ModeStatistics, loss: SingleArmLoss) -> FisherMatrix:

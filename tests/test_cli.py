@@ -325,12 +325,23 @@ def test_lossless_scan_row_call_budget(tmp_path, interferometer):
     assert (calls[1] - calls[0]) / 1000 <= 20
 
 
-@pytest.mark.parametrize("interferometer, budget", [("SU2", 249), ("SU11", 253)])
-def test_shared_gamma_point_record_call_budget(interferometer, budget):
-    # Python-level calls for one TwoArm row with equal etas: one solve for
-    # both gammas and one matrix per bound (285 and 289 calls when every
-    # candidate root went through the matrix path)
-    assert _calls(point_record, load_spec(_document(interferometer, "TwoArm"))) <= budget
+# (SU2, SU11) Python-level calls for one point_record row of each loss family
+_CALL_BUDGETS = {
+    "None": (19, 19),
+    "OneArm": (41, 41),
+    "TwoArm": (242, 246),
+    "TwoArmUnequal": (37, 37),
+}
+
+
+@pytest.mark.parametrize("loss", list(_CALL_BUDGETS))
+@pytest.mark.parametrize("interferometer", ["SU2", "SU11"])
+def test_point_record_call_budget(interferometer, loss):
+    # counted rather than timed; a generator expression on the row path costs
+    # a call each time it resumes. TwoArm with equal etas goes through the
+    # shared-gamma quintic
+    budget = _CALL_BUDGETS[loss][interferometer == "SU11"]
+    assert _calls(point_record, load_spec(_document(interferometer, loss))) <= budget
 
 
 @pytest.mark.parametrize("loss", ["OneArm", "TwoArm", "TwoArmUnequal"])

@@ -106,6 +106,16 @@ def test_faint_closed_form_states_pass_cauchy_schwarz(moments, splitter, squeeze
     moments(InterferometerInput(1e-150, squeeze_r, splitter))
 
 
+@pytest.mark.parametrize(
+    "squeeze_r, transmissivity", [(0.625, 5e-324), (0.45, 1e-323), (0.33, 2e-323)]
+)
+def test_subnormal_transmissivity_passes_cauchy_schwarz(squeeze_r, transmissivity):
+    # var_b (about T sinh(r)**2) rounds to 0 while cov rounds to one subnormal
+    # step, which the check allows
+    stats = lbs_moments(InterferometerInput(0.0, squeeze_r, SplitterSpec.lbs(transmissivity)))
+    assert stats.var_b == 0.0 and stats.cov == math.ulp(0.0)
+
+
 @pytest.mark.parametrize("gain", [1.5, 1e3, 1e6])
 @pytest.mark.parametrize("alpha, squeeze_r", [(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)])
 def test_closed_forms_at_unit_correlation_pass_cauchy_schwarz_at_every_scale(

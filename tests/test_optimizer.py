@@ -537,12 +537,14 @@ def test_shared_gamma_bound_is_proportional_to_a_huge_input(moments, splitter, t
 
 
 def test_lossless_families_are_the_ideal_bound():
+    # at eta = 1, u = 1.0 and L = 0.0 exactly, so C is the ideal matrix bit for bit
     fm = qfim_matrix(SU11_STATS)
     for family in (SingleArm(1.0), TwoArmSymmetric(1.0), TwoArmIndependent(1.0, 1.0)):
         result = optimize_gamma(SU11_STATS, family, Target.PHASE_SUM)
         assert result.converged
-        assert result.minimum == pytest.approx(two_param_bound(fm, Target.PHASE_SUM), rel=1e-12)
-        assert result.single_minimum == pytest.approx(fm.f_pp, rel=1e-12)
+        assert result.matrix == fm
+        assert result.minimum == two_param_bound(fm, Target.PHASE_SUM)
+        assert result.single_minimum == fm.f_pp
         assert result.argmin in (0.0, (0.0, 0.0))  # gamma does not enter
         assert _single_gamma(SU11_STATS, family, Target.PHASE_SUM) in (0.0, (0.0, 0.0))
 

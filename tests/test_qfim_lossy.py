@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import namedtuple
 from enum import Enum
 
 import pytest
@@ -530,9 +531,54 @@ def test_lossy_schur_never_exceeds_diagonal(va, vb, jj, mean, eta, gamma):
         (lambda: SingleArm(2.0), "eta must be in [0, 1], got 2.0"),
         (lambda: TwoArmSymmetric(-1.0), "eta must be in [0, 1], got -1.0"),
         (lambda: TwoArmIndependent(1.25, 0.5), "eta_a must be in [0, 1], got 1.25"),
+        # the fields are checked in order
+        (lambda: TwoArmLoss(2.0, -1.0, 0.0, 0.0), "eta_a must be in [0, 1], got 2.0"),
     ],
 )
 def test_every_loss_type_reports_eta_out_of_range_alike(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+# a valid instance of every loss description; gamma is unchecked, so -5 passes
+_VALID_LOSS = {
+    SingleArmLoss: (0.5, -5.0),
+    TwoArmLoss: (0.5, 0.5, -5.0, 0.25),
+    SingleArm: (0.5,),
+    TwoArmSymmetric: (0.5,),
+    TwoArmIndependent: (0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, name) for cls in _VALID_LOSS for name in cls._fields if name.startswith("eta")],
+)
+def test_every_eta_field_is_checked(cls, field):
+    index = cls._fields.index(field)
+
+    def fields(value):
+        return (*_VALID_LOSS[cls][:index], value, *_VALID_LOSS[cls][index + 1 :])
+
+    for value in (0.0, 1.0):
+        assert cls(*fields(value)) == cls(**dict(zip(cls._fields, fields(value)))) == fields(value)
+    for value in (math.nan, -0.1, 1.1):
+        with pytest.raises(ValueError) as exc:
+            cls(*fields(value))
+        assert str(exc.value) == f"{field} must be in [0, 1], got {value}"
+        with pytest.raises(ValueError):
+            cls(**dict(zip(cls._fields, fields(value))))
+
+
+@pytest.mark.parametrize("cls", list(_VALID_LOSS))
+def test_loss_descriptions_keep_the_namedtuple_interface(cls):
+    plain = namedtuple(cls.__name__, cls._fields)
+    valid = _VALID_LOSS[cls]
+    assert repr(cls(*valid)) == repr(plain(*valid))
+    for args in (valid[:-1], (*valid, 0.5)):
+        with pytest.raises(TypeError) as exc:
+            cls(*args)
+        with pytest.raises(TypeError) as want:
+            plain(*args)
+        assert str(exc.value) == str(want.value)
