@@ -34,6 +34,7 @@ from .moments import (
     InterferometerInput,
     ModeStatistics,
     SplitterSpec,
+    _Checked,
     derived_correlations,
     lbs_moments,
     nbs_moments,
@@ -125,10 +126,11 @@ _FIXED_NAMES = {*_OPTIONAL, *(name for names in _READS.values() for name in name
 
 
 class ScanSpec(
+    _Checked,
     namedtuple(
         "ScanSpec",
         "interferometer estimation loss fixed swept_variable start stop steps repeats",
-    )
+    ),
 ):
     """One sweep (or, with swept_variable=None, one point).
 

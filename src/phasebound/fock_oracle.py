@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .errors import CutoffTooSmall
-from .moments import ModeStatistics, SplitterKind, SplitterSpec
+from .moments import ModeStatistics, SplitterKind, SplitterSpec, _Checked
 from .qfim_ideal import FisherMatrix
 from .qfim_lossy import SingleArmLoss, TwoArmLoss
 
@@ -47,7 +47,7 @@ _MAX_WORK = 320
 _BESSEL_TAIL = 1e-18
 
 
-class TruncatedState(namedtuple("TruncatedState", "amplitudes")):
+class TruncatedState(_Checked, namedtuple("TruncatedState", "amplitudes")):
     """Two-mode pure state on the grid 0 <= n_a, n_b <= cutoff; it holds an
     array, so it equals only itself."""
 

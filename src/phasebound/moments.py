@@ -28,12 +28,19 @@ from .errors import DegenerateStatistics
 _CS_SLACK = 5e-10
 
 
+class _Checked(tuple):
+    """First base of each checked namedtuple: _make and _replace build through cls()."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
 class SplitterKind(Enum):
     LBS = "lbs"  # passive linear beam splitter, parameter T
     NBS = "nbs"  # active nonlinear beam splitter, parameter G
 
 
-class SplitterSpec(namedtuple("SplitterSpec", "kind value")):
+class SplitterSpec(_Checked, namedtuple("SplitterSpec", "kind value")):
     """First-splitter description: LBS transmissivity or NBS gain."""
 
     __slots__ = ()
@@ -56,7 +63,9 @@ class SplitterSpec(namedtuple("SplitterSpec", "kind value")):
         return cls(SplitterKind.NBS, float(gain))
 
 
-class InterferometerInput(namedtuple("InterferometerInput", "alpha_mag squeeze_r splitter")):
+class InterferometerInput(
+    _Checked, namedtuple("InterferometerInput", "alpha_mag squeeze_r splitter")
+):
     """Coherent (x) squeezed-vacuum input plus the first splitter."""
 
     __slots__ = ()
@@ -71,7 +80,7 @@ class InterferometerInput(namedtuple("InterferometerInput", "alpha_mag squeeze_r
         return tuple.__new__(cls, (alpha_mag, squeeze_r, splitter))
 
 
-class ModeStatistics(namedtuple("ModeStatistics", "mean_a mean_b var_a var_b cov")):
+class ModeStatistics(_Checked, namedtuple("ModeStatistics", "mean_a mean_b var_a var_b cov")):
     """First and second photon-number moments of the two-mode state.
 
     Attributes

@@ -49,7 +49,7 @@ from .errors import NonFiniteObjective
 from .moments import ModeStatistics
 from .qfim_ideal import FisherMatrix, Target, qfim_matrix, two_param_bound
 from .qfim_ideal import _split, _tol
-from .qfim_lossy import SingleArmLoss, TwoArmLoss, _Loss, c_matrix_single, c_matrix_two
+from .qfim_lossy import _Loss, c_matrix_single, c_matrix_two
 
 _FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
 _ULP = 2.0**-52
@@ -121,8 +121,7 @@ def _pair_argmin(
         a_b * (b_a * s + a_a * r_b) * stats.var_b / det,
         a_a * a_b * j * sd_a * sd_b / det,
     )
-    # unchecked: M is PSD, but a subnormal variance in it loses the bits the check needs
-    fm = qfim_matrix(tuple.__new__(ModeStatistics, (*stats[:2], *m)))
+    fm = qfim_matrix((*stats[:2], *m))
     comp = _split(fm, target)[1]
     # 0 where the Schur kernel treats f_pm as zero, as two_param_bound does
     t_star = -fm.f_pm / comp if comp > 0.0 and abs(fm.f_pm) > _tol(fm) else 0.0
@@ -252,14 +251,14 @@ def optimize_gamma(
     if isinstance(loss_family, TwoArmSymmetric):
         eta, attained = loss_family.eta, True
         gammas = _shared_gamma(stats, eta, target)
-        c_matrix, losses = c_matrix_two, [TwoArmLoss(eta, eta, g, g) for g in gammas]
+        c_matrix, losses = c_matrix_two, [(eta, eta, g, g) for g in gammas]
     elif isinstance(loss_family, SingleArm):
         pairs, attained = _pair_argmin(stats, loss_family.eta, 1.0, target)
         gammas = [gamma for gamma, _ in pairs]
-        c_matrix, losses = c_matrix_single, [SingleArmLoss(loss_family.eta, g) for g in gammas]
+        c_matrix, losses = c_matrix_single, [(loss_family.eta, g) for g in gammas]
     elif isinstance(loss_family, TwoArmIndependent):
         gammas, attained = _pair_argmin(stats, *loss_family, target)
-        c_matrix, losses = c_matrix_two, [TwoArmLoss(*loss_family, *g) for g in gammas]
+        c_matrix, losses = c_matrix_two, [(*loss_family, *g) for g in gammas]
     else:
         raise TypeError(f"unknown loss family: {loss_family!r}")
     matrix = c_matrix(stats, losses[0])

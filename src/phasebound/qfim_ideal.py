@@ -13,7 +13,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import NonFiniteObjective, NonpositiveInformation, SingularComplement
-from .moments import ModeStatistics
+from .moments import ModeStatistics, _Checked
 
 # Positive-semidefiniteness slack for matrices assembled from rounded moments,
 # relative to the largest |element| (on the diagonals) and to its square (det)
@@ -25,7 +25,7 @@ class Target(Enum):
     PHASE_DIFFERENCE = "phase_difference"  # phi_minus, the SU(2) estimand
 
 
-class FisherMatrix(namedtuple("FisherMatrix", "f_pp f_mm f_pm")):
+class FisherMatrix(_Checked, namedtuple("FisherMatrix", "f_pp f_mm f_pm")):
     """Symmetric 2x2 information matrix (ideal F or lossy C).
 
     Attributes
@@ -64,17 +64,19 @@ def _split(fm: FisherMatrix, target: Target) -> tuple[float, float]:
 
 
 def qfim_matrix(stats: ModeStatistics) -> FisherMatrix:
-    """Ideal information matrix from photon-number moments.
+    """Ideal information matrix from the five moments, read by position: a
+    ModeStatistics, or a plain tuple in its field order, which is not checked.
 
     The elements are var_a + var_b + 2 cov (sum-sum), var_a + var_b
     - 2 cov (difference-difference) and var_a - var_b (off-diagonal).
-    Built unchecked: the moments are checked, and the lossy C is PSD by
-    construction up to u**2 var underflowing (|u| < 1e-154), which no check can judge.
+    The one FisherMatrix built without its check: C is PSD by construction,
+    but a check at rounding level can refuse it where u**2 var underflows.
     """
+    _, _, var_a, var_b, cov = stats
     return tuple.__new__(FisherMatrix, (
-        stats.var_a + stats.var_b + 2.0 * stats.cov,
-        stats.var_a + stats.var_b - 2.0 * stats.cov,
-        stats.var_a - stats.var_b,
+        var_a + var_b + 2.0 * cov,
+        var_a + var_b - 2.0 * cov,
+        var_a - var_b,
     ))
 
 

@@ -21,13 +21,13 @@ import math
 from collections import namedtuple
 
 from .errors import DegenerateStatistics
-from .moments import ModeStatistics, derived_correlations
+from .moments import ModeStatistics, _Checked, derived_correlations
 from .qfim_ideal import FisherMatrix, Target, qfim_matrix
 # perfbench/probes.py wraps phasebound.qfim_lossy.two_param_bound
 from .qfim_ideal import two_param_bound  # noqa: F401
 
 
-class _Loss(tuple):
+class _Loss(_Checked):
     """Base of the loss descriptions, each ``class X(_Loss, namedtuple(...))``:
     the namedtuple builds the tuple, then every field named eta* must lie in
     [0, 1], checked in field order."""
@@ -63,31 +63,28 @@ def c_matrix_single(stats: ModeStatistics, loss: SingleArmLoss) -> FisherMatrix:
     """Single-arm-loss information matrix: the ideal matrix of the moments
     arm a keeps, var_a -> u**2 var_a + L and cov -> u cov, with
     u = eta_a - gamma*(1 - eta_a) and the loss term
-    L = (gamma+1)**2 (1-eta_a) eta_a <n_a>.
+    L = (gamma+1)**2 (1-eta_a) eta_a <n_a>; loss is read by position.
 
     At eta_a = 1 this reduces to the ideal matrix for every gamma.
     """
-    eta, gamma = loss.eta_a, loss.gamma
+    eta, gamma = loss
     u = eta - gamma * (1.0 - eta)
     big_l = (gamma + 1.0) ** 2 * (1.0 - eta) * eta * stats.mean_a
-    # tuple.__new__ skips the Cauchy-Schwarz check: u**2 can underflow a tiny
-    # variance to 0 while u cov stays nonzero, which the check would reject
-    kept = (stats.mean_a, stats.mean_b, u * u * stats.var_a + big_l, stats.var_b, u * stats.cov)
-    return qfim_matrix(tuple.__new__(ModeStatistics, kept))
+    return qfim_matrix((*stats[:2], u * u * stats.var_a + big_l, stats.var_b, u * stats.cov))
 
 
 def c_matrix_two(stats: ModeStatistics, loss: TwoArmLoss) -> FisherMatrix:
     """Two-arm-loss information matrix (independent eta and gamma per arm):
     the ideal matrix of var_i -> u_i**2 var_i + L_i and cov -> u_a u_b cov,
     with u_i = 1 - (gamma_i + 1)(1 - eta_i) and
-    L_i = (gamma_i + 1)**2 (1 - eta_i) eta_i <n_i>."""
-    u_a = 1.0 - (loss.gamma_a + 1.0) * (1.0 - loss.eta_a)
-    u_b = 1.0 - (loss.gamma_b + 1.0) * (1.0 - loss.eta_b)
-    l_a = (loss.gamma_a + 1.0) ** 2 * (1.0 - loss.eta_a) * loss.eta_a * stats.mean_a
-    l_b = (loss.gamma_b + 1.0) ** 2 * (1.0 - loss.eta_b) * loss.eta_b * stats.mean_b
+    L_i = (gamma_i + 1)**2 (1 - eta_i) eta_i <n_i>; loss is read by position."""
+    eta_a, eta_b, gamma_a, gamma_b = loss
+    u_a = 1.0 - (gamma_a + 1.0) * (1.0 - eta_a)
+    u_b = 1.0 - (gamma_b + 1.0) * (1.0 - eta_b)
+    l_a = (gamma_a + 1.0) ** 2 * (1.0 - eta_a) * eta_a * stats.mean_a
+    l_b = (gamma_b + 1.0) ** 2 * (1.0 - eta_b) * eta_b * stats.mean_b
     arm_a, arm_b = u_a * u_a * stats.var_a + l_a, u_b * u_b * stats.var_b + l_b
-    kept = (stats.mean_a, stats.mean_b, arm_a, arm_b, u_a * u_b * stats.cov)
-    return qfim_matrix(tuple.__new__(ModeStatistics, kept))  # unchecked, as in c_matrix_single
+    return qfim_matrix((*stats[:2], arm_a, arm_b, u_a * u_b * stats.cov))
 
 
 def gamma_opt_single(stats: ModeStatistics, eta_a: float, target: Target) -> float:

@@ -213,6 +213,11 @@ def test_point_record_requires_fixed_parameters():
         point_record(load_spec(document))
 
 
+def test_point_record_requires_the_swept_value():
+    with pytest.raises(ConfigError, match="swept_value required when a variable is swept"):
+        point_record(load_spec(_eta_sweep_document(0.2, 0.8, 3)))
+
+
 # ---------------------------------------------------------------------------
 # formatting and sweeps
 
@@ -328,9 +333,9 @@ def test_lossless_scan_row_call_budget(tmp_path, interferometer):
 # (SU2, SU11) Python-level calls for one point_record row of each loss family
 _CALL_BUDGETS = {
     "None": (19, 19),
-    "OneArm": (41, 41),
-    "TwoArm": (242, 246),
-    "TwoArmUnequal": (37, 37),
+    "OneArm": (37, 37),
+    "TwoArm": (238, 242),
+    "TwoArmUnequal": (33, 33),
 }
 
 
@@ -588,8 +593,9 @@ def test_main_rejects_malformed_json(tmp_path, capsys):
         ({**SU2_LOSSLESS, "cutoff": None}, "cutoff must be an integer"),
         ({**SU2_LOSSLESS, "cutoff": [64]}, "cutoff must be an integer"),
         ({**SU2_LOSSLESS, "cutoff": math.inf}, "cutoff must be an integer"),
+        ({**SU2_LOSSLESS, "fixed": [4.0]}, "fixed must be an object of name -> value"),
     ],
-    ids=["list", "string", "null", "cutoff-null", "cutoff-list", "cutoff-inf"],
+    ids=["list", "string", "null", "cutoff-null", "cutoff-list", "cutoff-inf", "fixed-list"],
 )
 def test_main_rejects_non_object_config_and_bad_cutoff(tmp_path, capsys, document, reason):
     path = _write_config(tmp_path, document)
@@ -774,6 +780,29 @@ def test_main_point_compute_failure(tmp_path, capsys):
     code = main(["point", "--config", _write_config(tmp_path, document)])
     assert code == EXIT_COMPUTE
     assert "computation failed: ValueError: squeeze_r" in capsys.readouterr().err
+
+
+def test_negative_splitter_ratio_fails_the_point_and_its_scan_row(tmp_path, capsys):
+    reason = "ConfigError: splitter_ratio must be non-negative, got -0.5"
+    document = {**SU2_LOSSLESS, "fixed": {**SU2_LOSSLESS["fixed"], "splitter_ratio": -0.5}}
+    assert main(["point", "--config", _write_config(tmp_path, document)]) == EXIT_COMPUTE
+    assert f"computation failed: {reason}" in capsys.readouterr().err
+    out = tmp_path / "scan.csv"
+    fixed = {k: v for k, v in SU2_LOSSLESS["fixed"].items() if k != "splitter_ratio"}
+    sweep = {**SU2_LOSSLESS, "fixed": fixed, "swept_variable": "splitter_ratio"}
+    sweep["range"] = [-0.5, 0.5, 3]  # the first row fails, the others do not
+    config = _write_config(tmp_path, sweep)
+    assert main(["scan", "--config", config, "--output", str(out)]) == EXIT_OK
+    with open(out, newline="") as handle:
+        assert [row["error"] for row in csv.DictReader(handle)] == [reason, "", ""]
+
+
+def test_main_reads_the_config_from_stdin(tmp_path, capsys, monkeypatch):
+    assert main(["point", "--config", _write_config(tmp_path, SU11_ONE_ARM)]) == EXIT_OK
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(SU11_ONE_ARM)))
+    assert main(["point", "--config", "-"]) == EXIT_OK
+    assert capsys.readouterr().out == from_file
 
 
 def test_main_scan_roundtrip(tmp_path):

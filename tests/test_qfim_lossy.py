@@ -557,18 +557,27 @@ _VALID_LOSS = {
 )
 def test_every_eta_field_is_checked(cls, field):
     index = cls._fields.index(field)
+    valid = cls(*_VALID_LOSS[cls])
 
     def fields(value):
         return (*_VALID_LOSS[cls][:index], value, *_VALID_LOSS[cls][index + 1 :])
 
+    def builds(value):
+        # by position, by keyword, and the namedtuple's _make and _replace
+        return (
+            lambda: cls(*fields(value)),
+            lambda: cls(**dict(zip(cls._fields, fields(value)))),
+            lambda: cls._make(fields(value)),
+            lambda: valid._replace(**{field: value}),
+        )
+
     for value in (0.0, 1.0):
-        assert cls(*fields(value)) == cls(**dict(zip(cls._fields, fields(value)))) == fields(value)
+        assert [build() for build in builds(value)] == [fields(value)] * 4
     for value in (math.nan, -0.1, 1.1):
-        with pytest.raises(ValueError) as exc:
-            cls(*fields(value))
-        assert str(exc.value) == f"{field} must be in [0, 1], got {value}"
-        with pytest.raises(ValueError):
-            cls(**dict(zip(cls._fields, fields(value))))
+        for build in builds(value):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == f"{field} must be in [0, 1], got {value}"
 
 
 @pytest.mark.parametrize("cls", list(_VALID_LOSS))
