@@ -7,7 +7,10 @@ Three subcommands:
     the record as JSON.
 ``scan``
     Sweep one variable and write a CSV (plus a companion metadata JSON;
-    the timestamp lives only there so the CSV stays byte-stable).
+    the timestamp lives only there so the CSV stays byte-stable). Rows are
+    computed and formatted in fixed chunks; ``--jobs N`` computes the
+    chunks in up to N forked workers and writes them in sweep order, so
+    the bytes are the same at any N.
 ``oracle-check``
     Re-derive the closed forms from the brute-force Fock engine at one
     point and report each identity as a pass/fail line.
@@ -22,6 +25,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from datetime import datetime, timezone
@@ -33,6 +37,7 @@ from .errors import DegenerateStatistics, PhaseboundError
 from .moments import (
     InterferometerInput,
     ModeStatistics,
+    SplitterKind,
     SplitterSpec,
     _Checked,
     derived_correlations,
@@ -276,9 +281,11 @@ def _build_input(
         ratio = fixed["splitter_ratio"]
         if ratio < 0.0:
             raise ConfigError(f"splitter_ratio must be non-negative, got {ratio}")
-        inp = InterferometerInput(alpha, squeeze_r, SplitterSpec.lbs(1.0 / (1.0 + ratio)))
+        splitter = SplitterSpec(SplitterKind.LBS, 1.0 / (1.0 + ratio))
+        inp = InterferometerInput(alpha, squeeze_r, splitter)
         return inp, Target.PHASE_DIFFERENCE, lbs_moments(inp)
-    inp = InterferometerInput(alpha, squeeze_r, SplitterSpec.nbs(fixed["gain"]))
+    splitter = SplitterSpec(SplitterKind.NBS, float(fixed["gain"]))
+    inp = InterferometerInput(alpha, squeeze_r, splitter)
     return inp, Target.PHASE_SUM, nbs_moments(inp)
 
 
@@ -330,30 +337,120 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
     }
 
 
-def run_scan(spec: ScanSpec, output_path: str) -> None:
-    """Write each CSV row as its sweep point is computed, then a metadata
-    JSON; the CSV is opened first, so an unwritable path fails before any
-    row is computed."""
+# rows a scan computes, formats and writes at once, and that a --jobs worker
+# sends back at once: about 150 KB of text
+_CHUNK_ROWS = 500
+
+
+class _Lines(list):
+    """A list that csv.writer writes into."""
+
+    write = list.append
+
+
+def _chunk(spec: ScanSpec, k: int) -> str:
+    """CSV text of the sweep's k-th chunk of rows.
+
+    A computed row is one join of its cells: a float is its repr, None is
+    blank, and a string (the a;b gamma pair, the empty error cell) is
+    written as it is. Only an error row goes through csv.writer, which
+    quotes its message."""
+    lines = _Lines()
+    write_error = csv.writer(lines, lineterminator="\n").writerow
+    step = (spec.stop - spec.start) / (spec.steps - 1)
+    for i in range(k * _CHUNK_ROWS, min(k * _CHUNK_ROWS + _CHUNK_ROWS, spec.steps)):
+        value = spec.stop if i == spec.steps - 1 else spec.start + i * step
+        try:
+            row = point_record(spec, value)
+        except _CONTAINED as exc:  # one bad point must not kill the sweep
+            row = dict.fromkeys(CSV_COLUMNS)
+            row["swept_value"] = value
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            write_error(row.values())
+            continue
+        pair = row["gamma_opt_numeric"]
+        if type(pair) is tuple:  # independent arms: one cell, a;b
+            row["gamma_opt_numeric"] = f"{pair[0]!r};{pair[1]!r}"
+        lines.append(",".join([
+            "" if cell is None else cell if type(cell) is str else repr(cell)
+            for cell in row.values()
+        ]) + "\n")
+    return "".join(lines)
+
+
+def _write_forked(handle, spec: ScanSpec, chunks: int, workers: int) -> None:
+    """Write every chunk in sweep order; worker w computes chunks w, w +
+    workers, ... in a forked process and sends each one, length-prefixed,
+    through its own pipe. A short chunk or a failed worker raises."""
+    pids, pipes = {}, []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pids[w] = os.fork()
+            if pids[w] == 0:  # the worker never returns into the caller
+                status = 1
+                try:
+                    for pipe in pipes:  # the earlier workers' read ends
+                        pipe.close()
+                    os.close(read_end)
+                    with open(write_end, "wb") as pipe:
+                        for k in range(w, chunks, workers):
+                            data = _chunk(spec, k).encode()
+                            pipe.write(len(data).to_bytes(8, "little"))
+                            pipe.write(data)
+                    status = 0
+                except BaseException:
+                    import traceback
+
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            pipes.append(open(read_end, "rb"))
+        for k in range(chunks):
+            w = k % workers
+            size = int.from_bytes(pipes[w].read(8), "little")
+            data = pipes[w].read(size)
+            if size == 0 or len(data) < size:
+                status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
+                raise RuntimeError(
+                    f"scan worker {w} sent chunk {k} short and exited with status {status}")
+            handle.write(data.decode())
+        for w in range(workers):
+            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
+            if status:
+                raise RuntimeError(f"scan worker {w} exited with status {status}")
+    finally:
+        if pids:
+            import signal
+
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def run_scan(spec: ScanSpec, output_path: str, jobs: int = 1) -> None:
+    """Write the CSV chunk by chunk, in sweep order, then a metadata JSON.
+
+    A scan of more than one chunk at jobs > 1 forks min(jobs, chunks,
+    CPUs available) workers, where fork exists; any other scan runs in
+    process. The CSV is opened first, so an unwritable path fails before
+    any row is computed."""
     if spec.swept_variable is None:
         raise ConfigError("scan requires swept_variable and range")
-    step = (spec.stop - spec.start) / (spec.steps - 1)
+    chunks = -(-spec.steps // _CHUNK_ROWS)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, chunks, cpus or 1) if hasattr(os, "fork") else 1
     with open(output_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for i in range(spec.steps):
-            value = spec.stop if i == spec.steps - 1 else spec.start + i * step
-            try:
-                row = point_record(spec, value)
-            except _CONTAINED as exc:  # one bad point must not kill the sweep
-                row = dict.fromkeys(CSV_COLUMNS)
-                row["swept_value"] = value
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            else:
-                pair = row["gamma_opt_numeric"]
-                if type(pair) is tuple:  # independent arms: one cell, a;b
-                    row["gamma_opt_numeric"] = f"{pair[0]!r};{pair[1]!r}"
-            # the C writer formats each float as its repr and None as ""
-            writer.writerow(row.values())
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        if workers > 1:
+            _write_forked(handle, spec, chunks, workers)
+        else:
+            for k in range(chunks):
+                handle.write(_chunk(spec, k))
     meta = {
         "library": {"name": "phasebound", "version": __version__},
         "spec": {
@@ -526,7 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=1,
                 metavar="N",
-                help="accepted for compatibility; rows are computed in one thread",
+                help="compute the rows in up to N forked worker processes, at most "
+                "one per available CPU (default 1); the CSV is the same at any N",
             )
         if name == "point":
             cmd.add_argument("--output", default=None, metavar="PATH")
@@ -536,6 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "scan" and args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         document = _read_config(args.config)
         spec = load_spec(document)
@@ -569,7 +669,7 @@ def main(argv: Optional[list] = None) -> int:
         text = json.dumps(record, indent=2)  # already in CSV_COLUMNS order
     try:
         if args.command == "scan":
-            run_scan(spec, args.output)
+            run_scan(spec, args.output, args.jobs)
         elif args.output:
             with open(args.output, "w") as handle:
                 handle.write(text + "\n")

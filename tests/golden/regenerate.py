@@ -134,8 +134,9 @@ def _text(*lines: str) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
-def render(workdir: Path) -> dict[str, bytes]:
-    """Corpus path (relative, '/'-separated) -> contents, computed in `workdir`."""
+def render(workdir: Path, jobs: int = 1) -> dict[str, bytes]:
+    """Corpus path (relative, '/'-separated) -> contents, computed in
+    `workdir`, with each scan run at `--jobs jobs`."""
     files: dict[str, bytes] = {}
     exits = []
     for kind, name, document in cases():
@@ -145,7 +146,7 @@ def render(workdir: Path) -> dict[str, bytes]:
         argv = [command, "--config", str(config)]
         if kind == "scan":
             output = workdir / f"{name}.csv"
-            argv += ["--output", str(output)]
+            argv += ["--output", str(output), "--jobs", str(jobs)]
         code, stdout, stderr = _run(argv)
         if kind == "scan":
             files[f"scan/{name}.csv"] = output.read_bytes()

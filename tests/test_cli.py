@@ -5,8 +5,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import signal
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -318,8 +321,8 @@ def _calls(function, *args) -> int:
 def test_lossless_scan_row_call_budget(tmp_path, interferometer):
     # Python-level calls per lossless row, counted rather than timed, as the
     # difference between a 1,002-row and a 2-row scan: the row is built once
-    # and the csv C writer formats its cells (44 calls when each cell went
-    # through a Python formatter)
+    # and formatted by one join, whose list comprehension is a call of its
+    # own (44 calls when each cell went through a Python formatter)
     swept = "splitter_ratio" if interferometer == "SU2" else "gain"
     document = _document(interferometer, "None", swept_variable=swept)
     del document["fixed"][swept]
@@ -332,10 +335,10 @@ def test_lossless_scan_row_call_budget(tmp_path, interferometer):
 
 # (SU2, SU11) Python-level calls for one point_record row of each loss family
 _CALL_BUDGETS = {
-    "None": (19, 19),
-    "OneArm": (37, 37),
-    "TwoArm": (238, 242),
-    "TwoArmUnequal": (33, 33),
+    "None": (18, 18),
+    "OneArm": (36, 36),
+    "TwoArm": (237, 241),
+    "TwoArmUnequal": (32, 32),
 }
 
 
@@ -390,14 +393,122 @@ def test_run_scan_writes_pinned_header_and_rows(tmp_path):
     assert "timestamp" in meta
 
 
-def test_run_scan_is_deterministic_across_jobs(tmp_path):
-    config = _write_config(tmp_path, _eta_sweep_document(0.2, 0.8, 7))
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    for out, jobs in ((first, "1"), (second, "4")):
-        argv = ["scan", "--config", config, "--output", str(out), "--jobs", jobs]
-        assert main(argv) == EXIT_OK
-    assert first.read_bytes() == second.read_bytes()
+def _count_forks(monkeypatch, cpus):
+    """Pretend this process may run on `cpus` CPUs; the list collects the
+    pid of each fork, as the parent sees it."""
+    _pretend_cpus(monkeypatch, cpus)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _pretend_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_run_scan_is_deterministic_across_jobs(tmp_path, monkeypatch):
+    # four chunks of 3, 3, 3 and 2 rows; eta outside [0, 1] is an error row
+    # whose quoted message holds a comma (chunks 0, 2 and 3), and the other
+    # rows carry an a;b gamma pair (chunks 1 and 2), so at --jobs 2 and 3
+    # both kinds come from more than one worker
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    forks = _count_forks(monkeypatch, cpus=4)
+    document = {**_eta_sweep_document(-0.5, 1.5, 11), "loss": "TwoArm"}
+    document["fixed"] = {**document["fixed"], "eta_b": 0.75}
+    config = _write_config(tmp_path, document)
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["scan", "--config", config, "--output", str(out), "--jobs", jobs]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert len(forks) == 5
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    lines = outputs[0].decode().splitlines()[1:]
+    assert sum(',"ValueError: eta_a must be in [0, 1], got ' in line for line in lines) == 6
+    assert sum(";" in line for line in lines) == 5
+
+
+def test_forked_scans_cap_their_workers(tmp_path, monkeypatch):
+    # min(jobs, chunks, CPUs); counted on a small scan, never by asking for
+    # many real processes
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    spec = load_spec(_eta_sweep_document(0.1, 0.9, 8))  # four chunks
+    forks = _count_forks(monkeypatch, cpus=1)
+    for cpus, jobs, workers in ((2, 10_000, 2), (8, 10_000, 4), (8, 3, 3), (8, 1, 0), (1, 4, 0)):
+        _pretend_cpus(monkeypatch, cpus)
+        forks.clear()
+        run_scan(spec, str(tmp_path / "sweep.csv"), jobs)
+        assert len(forks) == workers, (cpus, jobs)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 8)  # one chunk never forks
+    forks.clear()
+    run_scan(spec, str(tmp_path / "sweep.csv"), 8)
+    assert forks == []
+
+
+def test_scans_run_serially_without_fork(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    spec = load_spec(_eta_sweep_document(0.1, 0.9, 8))
+    run_scan(spec, str(tmp_path / "forked.csv"), 2)
+    monkeypatch.delattr(os, "fork")
+    run_scan(spec, str(tmp_path / "serial.csv"), 2)
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_worker_fails_the_scan(tmp_path, monkeypatch, capfd):
+    # 0.4 is in chunk 1, which worker 1 computes; RuntimeError is a bug, not
+    # a row error, so the worker dies with its traceback on stderr
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    _count_forks(monkeypatch, cpus=2)
+
+    def broken(spec, value):
+        if value == 0.4:
+            raise RuntimeError("injected failure at 0.4")
+        return point_record(spec, value)
+
+    monkeypatch.setattr(cli, "point_record", broken)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(RuntimeError, match="scan worker 1 .*status 1"):
+        run_scan(load_spec(_eta_sweep_document(0.1, 0.8, 8)), str(out), 2)
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "RuntimeError: injected failure at 0.4" in err
+    assert not (tmp_path / "sweep.csv.meta.json").exists()
+    _assert_no_child_left()
+
+
+def test_an_interrupted_forked_scan_leaves_no_worker(tmp_path, monkeypatch):
+    # the workers sleep in their first row; an alarm interrupts the parent
+    # while it waits for chunk 0, and the workers are killed and reaped
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    _count_forks(monkeypatch, cpus=2)
+    monkeypatch.setattr(cli, "point_record", lambda spec, value: time.sleep(60))
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_scan(load_spec(_eta_sweep_document(0.1, 0.8, 8)), str(tmp_path / "s.csv"), 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30
+    assert not (tmp_path / "s.csv.meta.json").exists()
+    _assert_no_child_left()
 
 
 def test_run_scan_contains_row_errors(tmp_path):
@@ -1097,3 +1208,14 @@ def test_main_rejects_missing_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_main_scan_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    config = _write_config(tmp_path, _eta_sweep_document(0.2, 0.8, 4))
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--config", config, "--output", str(out), "--jobs", jobs])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()

@@ -818,6 +818,27 @@ def test_importing_the_package_does_not_load_dataclasses(module, unwanted):
     )
 
 
+# every module `import phasebound.cli` may add to those `site` loads: 19 at
+# the time of writing; a new one fails until it is listed here and named in
+# CHANGES.md, because each one lands in the start-up of every point and scan
+_CLI_IMPORTS = {
+    "__future__", "_csv", "_datetime", "_json", "argparse", "csv", "datetime", "gettext",
+    "json", "json.decoder", "json.encoder", "json.scanner",
+    "phasebound", "phasebound.cli", "phasebound.errors", "phasebound.moments",
+    "phasebound.optimizer", "phasebound.qfim_ideal", "phasebound.qfim_lossy",
+}
+
+
+def test_importing_the_cli_loads_only_the_allowed_modules():
+    _run_without_install(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import phasebound.cli\n"
+        f"extra = sorted(set(sys.modules) - before - {_CLI_IMPORTS!r})\n"
+        "assert not extra, extra\n"
+    )
+
+
 def test_point_and_scan_run_without_numpy_or_scipy(tmp_path):
     # one lossless, one-arm and two-arm spec each, so the optimizer runs too
     fixed = {"alpha_photons": 4.0, "squeeze_r": 0.5, "gain": 1.2, "eta": 0.6}
