@@ -102,8 +102,9 @@ class ConfigError(Exception):
     """Invalid or incomplete configuration document."""
 
 
-# the errors a row, a point or an oracle check reports instead of raising
-_CONTAINED = (PhaseboundError, ConfigError, ValueError)
+# the errors a row, a point or an oracle check reports instead of raising;
+# a closed form overflows on an input out of float range (squeeze_r 400)
+_CONTAINED = (PhaseboundError, ConfigError, ValueError, OverflowError)
 
 
 class Interferometer(Enum):
@@ -139,13 +140,14 @@ class ScanSpec(
 ):
     """One sweep (or, with swept_variable=None, one point).
 
-    fixed holds every name in _READS for the interferometer and the loss
-    model except the swept one: alpha_photons (input mean photon number
-    |alpha|^2), squeeze_r, splitter_ratio (reflectivity over
-    transmissivity, SU2) or gain (SU11), and eta when loss is present.
-    Construction checks this, and that the swept variable is one of them.
-    estimation is the configuration's SingleParameter or TwoParameter; it
-    only picks which bound fills info_optimal.
+    Construction checks every value, however the spec is built. estimation
+    (SingleParameter or TwoParameter) only picks which bound fills
+    info_optimal. fixed maps names in _FIXED_NAMES to finite numbers
+    (alpha_photons is the input mean photon number |alpha|^2, and
+    splitter_ratio is reflectivity over transmissivity): an unknown name,
+    or one in _READS that is neither fixed nor swept, is refused, and a
+    known name the spec does not read is ignored. The swept variable is a
+    name the spec reads, other than squeeze_r.
     """
 
     __slots__ = ()
@@ -162,6 +164,20 @@ class ScanSpec(
         steps: int = 0,
         repeats: int = 1,
     ) -> "ScanSpec":
+        start = _convert(float, start, "range start")
+        stop = _convert(float, stop, "range stop")
+        steps = _convert(int, steps, "range steps")
+        if not isinstance(fixed, dict):
+            raise ConfigError("fixed must be an object of name -> value")
+        unknown = {str(k) for k in fixed} - _FIXED_NAMES
+        if unknown:
+            raise ConfigError(f"unknown fixed parameters: {sorted(unknown)}")
+        repeats = _convert(int, repeats, "repeats")
+        if estimation not in ("SingleParameter", "TwoParameter"):
+            raise ConfigError(
+                f"estimation must be SingleParameter or TwoParameter, got {estimation!r}"
+            )
+        fixed = {str(k): _convert(float, v, f"fixed {k}") for k, v in fixed.items()}
         reads = _READS[interferometer] + _READS[loss]
         sweepable = tuple(name for name in reads if name != "squeeze_r")
         if swept_variable not in (None, *sweepable):
@@ -191,14 +207,6 @@ def _parse_enum(kind, raw, field: str):
         raise ConfigError(f"{field} must be one of: {allowed}; got {raw!r}") from None
 
 
-def _parse_estimation(raw) -> str:
-    if raw not in ("SingleParameter", "TwoParameter"):
-        raise ConfigError(
-            f"estimation must be SingleParameter or TwoParameter, got {raw!r}"
-        )
-    return raw
-
-
 def _convert(kind, raw, field: str):
     what = "an integer" if kind is int else "a number"
     # int() would read true as 1 and truncate 2.7 to 2
@@ -218,7 +226,8 @@ def _convert(kind, raw, field: str):
 
 
 def load_spec(document: dict) -> ScanSpec:
-    """Build a ScanSpec from a configuration dictionary."""
+    """Build a ScanSpec from a configuration dictionary, checking only the
+    document's shape; ScanSpec checks the values."""
     if not isinstance(document, dict):
         raise ConfigError("configuration must be a JSON object")
     unknown = set(document) - {
@@ -237,34 +246,19 @@ def load_spec(document: dict) -> ScanSpec:
         if key not in document:
             raise ConfigError(f"missing required key {key!r}")
     swept = document.get("swept_variable")
-    start = stop = 0.0
-    steps = 0
+    rng = (0.0, 0.0, 0)
     if swept is not None:
         rng = document.get("range")
         if not (isinstance(rng, (list, tuple)) and len(rng) == 3):
             raise ConfigError("range must be [start, stop, steps] when sweeping")
-        start = _convert(float, rng[0], "range start")
-        stop = _convert(float, rng[1], "range stop")
-        steps = _convert(int, rng[2], "range steps")
-    fixed = document.get("fixed", {})
-    if not isinstance(fixed, dict):
-        raise ConfigError("fixed must be an object of name -> value")
-    unknown = {str(k) for k in fixed} - _FIXED_NAMES
-    if unknown:
-        raise ConfigError(f"unknown fixed parameters: {sorted(unknown)}")
-    repeats = _convert(int, document.get("repeats", 1), "repeats")
     return ScanSpec(
-        interferometer=_parse_enum(
-            Interferometer, document["interferometer"], "interferometer"
-        ),
-        estimation=_parse_estimation(document["estimation"]),
-        loss=_parse_enum(LossKind, document["loss"], "loss"),
-        fixed={str(k): _convert(float, v, f"fixed {k}") for k, v in fixed.items()},
-        swept_variable=swept,
-        start=start,
-        stop=stop,
-        steps=steps,
-        repeats=repeats,
+        _parse_enum(Interferometer, document["interferometer"], "interferometer"),
+        document["estimation"],
+        _parse_enum(LossKind, document["loss"], "loss"),
+        document.get("fixed", {}),
+        swept,
+        *rng,
+        repeats=document.get("repeats", 1),
     )
 
 
@@ -599,8 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
             "gain (SU11), or eta with loss), range [start, stop, steps], fixed "
             "{alpha_photons, squeeze_r, splitter_ratio or gain, eta with loss; "
             "eta_b, gamma, gamma_b optional}, repeats, and cutoff (oracle-check "
-            "only). A missing or unread parameter, or a sweep outside scan, "
-            "exits 1. oracle-check checks the loss model named by loss."
+            "only). An unknown or missing parameter, or a sweep outside scan, "
+            "exits 1; a known parameter the spec does not read (gain under SU2, "
+            "eta without loss, eta_b under OneArm) is ignored. oracle-check "
+            "checks the loss model named by loss."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

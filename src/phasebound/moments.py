@@ -98,13 +98,14 @@ class ModeStatistics(_Checked, namedtuple("ModeStatistics", "mean_a mean_b var_a
     def __new__(
         cls, mean_a: float, mean_b: float, var_a: float, var_b: float, cov: float
     ) -> "ModeStatistics":
-        if mean_a < 0.0 or mean_b < 0.0:
-            raise ValueError("mean photon numbers must be >= 0")
-        if var_a < 0.0 or var_b < 0.0:
-            raise ValueError("variances must be >= 0")
+        # a NaN fails each "not (... <= ...)", and an infinity its upper bound
+        if not (0.0 <= mean_a < math.inf and 0.0 <= mean_b < math.inf):
+            raise ValueError(f"mean photon numbers must be >= 0 and finite: {mean_a}, {mean_b}")
+        if not (0.0 <= var_a < math.inf and 0.0 <= var_b < math.inf):
+            raise ValueError(f"variances must be >= 0 and finite: {var_a}, {var_b}")
         # square roots first, so no product over- or underflows at any scale
         root = math.sqrt(var_a) * math.sqrt(var_b)
-        if abs(cov) > root * (1.0 + _CS_SLACK) + math.ulp(0.0):
+        if not abs(cov) <= root * (1.0 + _CS_SLACK) + math.ulp(0.0):
             raise ValueError(f"cov={cov} violates |cov| <= sqrt(var_a*var_b)={root}")
         return tuple.__new__(cls, (mean_a, mean_b, var_a, var_b, cov))
 

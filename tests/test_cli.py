@@ -487,6 +487,26 @@ def test_a_failing_worker_fails_the_scan(tmp_path, monkeypatch, capfd):
     _assert_no_child_left()
 
 
+def test_a_killed_worker_fails_the_scan(tmp_path, monkeypatch):
+    # worker 1 dies in chunk 1 without a traceback; the parent reads the
+    # chunk short, names the worker and its signal status, and reaps it
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    _count_forks(monkeypatch, cpus=2)
+    parent = os.getpid()
+
+    def killed(spec, value):
+        if value == 0.4 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return point_record(spec, value)
+
+    monkeypatch.setattr(cli, "point_record", killed)
+    message = "scan worker 1 sent chunk 1 short and exited with status -9"
+    with pytest.raises(RuntimeError, match=message):
+        run_scan(load_spec(_eta_sweep_document(0.1, 0.8, 8)), str(tmp_path / "sweep.csv"), 2)
+    assert not (tmp_path / "sweep.csv.meta.json").exists()
+    _assert_no_child_left()
+
+
 def test_an_interrupted_forked_scan_leaves_no_worker(tmp_path, monkeypatch):
     # the workers sleep in their first row; an alarm interrupts the parent
     # while it waits for chunk 0, and the workers are killed and reaped
@@ -872,6 +892,108 @@ def test_main_rejects_nonfinite_unhashable_and_unknown_values(
         assert f"invalid configuration: {reason}" in captured.err, command
         assert captured.out == ""
     assert not out.exists()
+
+
+_GAIN_SWEEP = {**SU11_TWO_ARM, "swept_variable": "gain", "range": [1.1, 1.3, 3]}
+_RANGE_FIELDS = ("start", "stop", "steps")
+
+
+@pytest.mark.parametrize(
+    "field, bad, reason",
+    [
+        (
+            "estimation",
+            "SingleParam",
+            "estimation must be SingleParameter or TwoParameter, got 'SingleParam'",
+        ),
+        ("fixed", {"etab": 0.3}, "unknown fixed parameters: ['etab']"),
+        ("fixed", {"eta": "x"}, "fixed eta must be a number, got 'x'"),
+        ("fixed", {"gain": math.nan}, "fixed gain must be a finite number, got nan"),
+        ("fixed", [4.0], "fixed must be an object of name -> value"),
+        ("start", math.nan, "range start must be a finite number, got nan"),
+        ("stop", math.inf, "range stop must be a finite number, got inf"),
+        ("steps", 3.5, "range steps must be an integer, got 3.5"),
+        ("steps", True, "range steps must be an integer, got True"),
+        ("repeats", 1.5, "repeats must be an integer, got 1.5"),
+        ("repeats", True, "repeats must be an integer, got True"),
+    ],
+    ids=[
+        "estimation-typo",
+        "fixed-typo",
+        "fixed-string",
+        "fixed-nan",
+        "fixed-list",
+        "start-nan",
+        "stop-inf",
+        "steps-fraction",
+        "steps-bool",
+        "repeats-fraction",
+        "repeats-bool",
+    ],
+)
+def test_scan_spec_built_in_code_refuses_what_load_spec_refuses(field, bad, reason):
+    # a ScanSpec built directly, the library's way into point_record and
+    # run_scan, meets the same checks and messages as a configuration
+    document = {**_GAIN_SWEEP, "range": list(_GAIN_SWEEP["range"])}
+    if isinstance(bad, dict):  # entries laid over a valid fixed
+        bad = {**_GAIN_SWEEP["fixed"], **bad}
+    if field in _RANGE_FIELDS:
+        document["range"][_RANGE_FIELDS.index(field)] = bad
+    else:
+        document[field] = bad
+    with pytest.raises(ConfigError) as loaded:
+        load_spec(document)
+    with pytest.raises(ConfigError) as built:
+        ScanSpec(**{**load_spec(_GAIN_SWEEP)._asdict(), field: bad})
+    assert str(loaded.value) == str(built.value) == reason
+
+
+@pytest.mark.parametrize(
+    "command, code, report",
+    [
+        ("point", EXIT_COMPUTE, "computation failed"),
+        ("oracle-check", EXIT_ORACLE, "oracle failure"),
+    ],
+)
+def test_an_overflowing_closed_form_is_a_caught_error(tmp_path, capsys, command, code, report):
+    # sinh(r)**2 overflows from r of about 356
+    document = {**SU2_LOSSLESS, "fixed": {**SU2_LOSSLESS["fixed"], "squeeze_r": 400.0}}
+    assert main([command, "--config", _write_config(tmp_path, document)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{report}: OverflowError: ")
+    assert captured.out == ""
+
+
+def test_a_sweep_past_the_float_range_writes_error_rows_and_its_meta(tmp_path):
+    # gain**2 overflows from a gain of about 1.3e154: the first row is
+    # computed and the other three are error rows
+    document = {
+        **SU11_ONE_ARM,
+        "loss": "None",
+        "swept_variable": "gain",
+        "range": [1.5, 1e160, 4],
+        "fixed": {"alpha_photons": 4.0, "squeeze_r": 0.5},
+    }
+    out = tmp_path / "scan.csv"
+    config = _write_config(tmp_path, document)
+    assert main(["scan", "--config", config, "--output", str(out)]) == EXIT_OK
+    with open(out, newline="") as handle:
+        errors = [row["error"] for row in csv.DictReader(handle)]
+    assert errors[0] == "" and len(errors) == 4
+    assert all(error.startswith("OverflowError: ") for error in errors[1:])
+    assert (tmp_path / "scan.csv.meta.json").exists()
+
+
+def test_point_refuses_moments_past_the_float_range(tmp_path, capsys):
+    # alpha_photons 1e308 leaves the variances infinite, which the optimiser
+    # would divide by; ModeStatistics refuses them
+    document = {**SU11_ONE_ARM, "fixed": {**SU11_ONE_ARM["fixed"], "alpha_photons": 1e308}}
+    assert main(["point", "--config", _write_config(tmp_path, document)]) == EXIT_COMPUTE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "computation failed: ValueError: variances must be >= 0 and finite: inf"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("loss", ["OneArm", "TwoArm"])

@@ -82,6 +82,21 @@ def test_mode_statistics_rejects_negative_variance():
         ModeStatistics(1.0, 1.0, -1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "moments, message",
+    [
+        ((math.inf, 1.0, 1.0, 1.0, 0.0), "mean photon numbers must be >= 0 and finite"),
+        ((1.0, math.nan, 1.0, 1.0, 0.0), "mean photon numbers must be >= 0 and finite"),
+        ((1.0, 1.0, math.inf, math.inf, 0.0), "variances must be >= 0 and finite"),
+        ((1.0, 1.0, 1.0, math.nan, 0.0), "variances must be >= 0 and finite"),
+        ((1.0, 1.0, 1.0, 1.0, math.nan), "violates"),
+    ],
+)
+def test_mode_statistics_rejects_non_finite_moments(moments, message):
+    with pytest.raises(ValueError, match=message):
+        ModeStatistics(*moments)
+
+
 def test_mode_statistics_rejects_cauchy_schwarz_violation():
     # |J| = 3, and at small scale |J| = 1.5 and |J| = inf, which an absolute
     # slack of 1e-30 on cov**2 let through
