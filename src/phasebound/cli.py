@@ -34,58 +34,20 @@ from typing import Optional, Union
 
 from . import __version__
 from .errors import DegenerateStatistics, PhaseboundError
-from .moments import (
-    InterferometerInput,
-    ModeStatistics,
-    SplitterKind,
-    SplitterSpec,
-    _Checked,
-    derived_correlations,
-    lbs_moments,
-    nbs_moments,
-)
-from .optimizer import (
-    SingleArm,
-    TwoArmIndependent,
-    TwoArmSymmetric,
-    optimize_gamma,
-)
-from .qfim_ideal import (
-    Target,
-    _split,
-    overestimation,
-    qcrb,
-    qfim_matrix,
-    two_param_bound,
-)
-from .qfim_lossy import (
-    SingleArmLoss,
-    TwoArmLoss,
-    c_matrix_single,
-    c_matrix_two,
-    gamma_opt_single,
-)
+from .moments import (InterferometerInput, ModeStatistics, SplitterSpec, _Checked, _LBS, _NBS,
+                      derived_correlations, lbs_moments, nbs_moments)
+from .optimizer import SingleArm, TwoArmIndependent, TwoArmSymmetric, optimize_gamma
+from .qfim_ideal import Target, _DIFFERENCE, _SUM, _schur_terms, overestimation, qcrb, qfim_matrix
+# perfbench/probes.py wraps phasebound.cli.two_param_bound, which no row calls
+# since a lossless row takes the Schur rule once (ROADMAP item 2)
+from .qfim_ideal import two_param_bound  # noqa: F401
+from .qfim_lossy import SingleArmLoss, TwoArmLoss, c_matrix_single, c_matrix_two, gamma_opt_single
 
 # column order is part of the output contract; tests pin it
 CSV_COLUMNS = (
-    "swept_value",
-    "mean_a",
-    "mean_b",
-    "var_a",
-    "var_b",
-    "cov",
-    "f_pp",
-    "f_mm",
-    "f_pm",
-    "info_single",
-    "info_two",
-    "delta_f",
-    "gamma_opt_analytic",
-    "gamma_opt_numeric",
-    "info_optimal",
-    "qcrb_single",
-    "qcrb_two",
-    "error",
+    "swept_value", "mean_a", "mean_b", "var_a", "var_b", "cov", "f_pp", "f_mm", "f_pm",
+    "info_single", "info_two", "delta_f", "gamma_opt_analytic", "gamma_opt_numeric",
+    "info_optimal", "qcrb_single", "qcrb_two", "error",
 )
 
 EXIT_OK = 0
@@ -118,6 +80,9 @@ class LossKind(Enum):
     TWO_ARM = "TwoArm"
 
 
+_SU2, _NO_LOSS = Interferometer.SU2, LossKind.NONE  # as moments._LBS
+
+
 # the fixed names each interferometer and each loss model reads; eta_b,
 # gamma and gamma_b are optional, and squeeze_r is never swept
 _READS = {
@@ -140,7 +105,8 @@ class ScanSpec(
 ):
     """One sweep (or, with swept_variable=None, one point).
 
-    Construction checks every value, however the spec is built. estimation
+    Construction checks every value, however the spec is built.
+    interferometer and loss are members or their strings. estimation
     (SingleParameter or TwoParameter) only picks which bound fills
     info_optimal. fixed maps names in _FIXED_NAMES to finite numbers
     (alpha_photons is the input mean photon number |alpha|^2, and
@@ -154,9 +120,9 @@ class ScanSpec(
 
     def __new__(
         cls,
-        interferometer: Interferometer,
+        interferometer: Union[Interferometer, str],
         estimation: str,
-        loss: LossKind,
+        loss: Union[LossKind, str],
         fixed: dict,
         swept_variable: Optional[str] = None,
         start: float = 0.0,
@@ -164,6 +130,8 @@ class ScanSpec(
         steps: int = 0,
         repeats: int = 1,
     ) -> "ScanSpec":
+        interferometer = _parse_enum(Interferometer, interferometer, "interferometer")
+        loss = _parse_enum(LossKind, loss, "loss")
         start = _convert(float, start, "range start")
         stop = _convert(float, stop, "range stop")
         steps = _convert(int, steps, "range steps")
@@ -252,9 +220,9 @@ def load_spec(document: dict) -> ScanSpec:
         if not (isinstance(rng, (list, tuple)) and len(rng) == 3):
             raise ConfigError("range must be [start, stop, steps] when sweeping")
     return ScanSpec(
-        _parse_enum(Interferometer, document["interferometer"], "interferometer"),
+        document["interferometer"],
         document["estimation"],
-        _parse_enum(LossKind, document["loss"], "loss"),
+        document["loss"],
         document.get("fixed", {}),
         swept,
         *rng,
@@ -269,34 +237,54 @@ def _build_input(
     alpha_photons = fixed["alpha_photons"]
     if alpha_photons < 0.0:
         raise ConfigError(f"alpha_photons must be non-negative, got {alpha_photons}")
-    alpha = math.sqrt(alpha_photons)
     squeeze_r = fixed["squeeze_r"]
-    if spec.interferometer is Interferometer.SU2:
-        ratio = fixed["splitter_ratio"]
-        if ratio < 0.0:
-            raise ConfigError(f"splitter_ratio must be non-negative, got {ratio}")
-        splitter = SplitterSpec(SplitterKind.LBS, 1.0 / (1.0 + ratio))
-        inp = InterferometerInput(alpha, squeeze_r, splitter)
-        return inp, Target.PHASE_DIFFERENCE, lbs_moments(inp)
-    splitter = SplitterSpec(SplitterKind.NBS, float(fixed["gain"]))
-    inp = InterferometerInput(alpha, squeeze_r, splitter)
-    return inp, Target.PHASE_SUM, nbs_moments(inp)
+    if spec.interferometer is _SU2:
+        name, value = "splitter_ratio", fixed["splitter_ratio"]
+        if value < 0.0:
+            raise ConfigError(f"splitter_ratio must be non-negative, got {value}")
+        splitter = SplitterSpec(_LBS, 1.0 / (1.0 + value))
+        target, moments = _DIFFERENCE, lbs_moments
+    else:
+        name, value = "gain", fixed["gain"]
+        splitter = SplitterSpec(_NBS, float(value))
+        target, moments = _SUM, nbs_moments
+    inp = InterferometerInput(math.sqrt(alpha_photons), squeeze_r, splitter)
+    try:
+        return inp, target, moments(inp)
+    except OverflowError as exc:  # sinh(r)**2 or gain**2 leaves the float range
+        raise OverflowError(
+            f"closed-form moments overflow at alpha_photons={alpha_photons!r}, "
+            f"squeeze_r={squeeze_r!r}, {name}={value!r}"
+        ) from exc
 
 
 def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
-    """Compute one output row; raises on invalid parameters."""
+    """Compute one output row, keyed by CSV_COLUMNS; raises on invalid parameters."""
     fixed = dict(spec.fixed)
     if spec.swept_variable is not None:
         if swept_value is None:
             raise ConfigError("swept_value required when a variable is swept")
         fixed[spec.swept_variable] = swept_value
+    single = spec.estimation == "SingleParameter"
+    return dict(zip(CSV_COLUMNS, _row(spec, fixed, swept_value, single, spec.repeats)))
+
+
+def _row(
+    spec: ScanSpec, fixed: dict, swept_value: Optional[float], single: bool, repeats: int
+) -> tuple:
+    """The cells of one row in CSV_COLUMNS order, for point_record and _chunk.
+
+    fixed holds the swept value under the swept name. A lossless row takes
+    the Schur rule once: its info_single is the diagonal element itself,
+    info_two = diag - shift and delta_f = shift. info_optimal is the
+    info_single or info_two object, as single picks."""
     _, target, stats = _build_input(spec, fixed)
     gamma_analytic: Optional[float] = None
     gamma_numeric: Union[None, float, tuple[float, float]] = None
-    if spec.loss is LossKind.NONE:
+    if spec.loss is _NO_LOSS:
         fm = qfim_matrix(stats)
-        info_single = _split(fm, target)[0]
-        info_two = two_param_bound(fm, target)
+        info_single, delta_f = _schur_terms(fm, target)
+        info_two = info_single - delta_f
     else:
         eta = fixed["eta"]
         eta_b = fixed.get("eta_b", eta)
@@ -313,27 +301,19 @@ def point_record(spec: ScanSpec, swept_value: Optional[float] = None) -> dict:
         res = optimize_gamma(stats, family, target)
         fm, gamma_numeric = res.matrix, res.argmin
         info_single, info_two = res.single_minimum, res.minimum
-
-    single = spec.estimation == "SingleParameter"
-    # keys in CSV_COLUMNS order: run_scan writes the values as they come
-    return {
-        "swept_value": swept_value,
-        "mean_a": stats.mean_a, "mean_b": stats.mean_b,
-        "var_a": stats.var_a, "var_b": stats.var_b, "cov": stats.cov,
-        "f_pp": fm.f_pp, "f_mm": fm.f_mm, "f_pm": fm.f_pm,
-        "info_single": info_single, "info_two": info_two,
-        "delta_f": overestimation(fm, target),
-        "gamma_opt_analytic": gamma_analytic, "gamma_opt_numeric": gamma_numeric,
-        "info_optimal": info_single if single else info_two,
-        "qcrb_single": qcrb(info_single, spec.repeats),
-        "qcrb_two": qcrb(info_two, spec.repeats),
-        "error": "",
-    }
+        delta_f = overestimation(fm, target)
+    return (
+        swept_value, *stats, *fm, info_single, info_two, delta_f,
+        gamma_analytic, gamma_numeric, info_single if single else info_two,
+        qcrb(info_single, repeats), qcrb(info_two, repeats), "",
+    )
 
 
 # rows a scan computes, formats and writes at once, and that a --jobs worker
 # sends back at once: about 150 KB of text
 _CHUNK_ROWS = 500
+# the blank cells of an error row, between its swept value and its message
+_BLANK = (None,) * (len(CSV_COLUMNS) - 2)
 
 
 class _Lines(list):
@@ -345,30 +325,39 @@ class _Lines(list):
 def _chunk(spec: ScanSpec, k: int) -> str:
     """CSV text of the sweep's k-th chunk of rows.
 
-    A computed row is one join of its cells: a float is its repr, None is
-    blank, and a string (the a;b gamma pair, the empty error cell) is
-    written as it is. Only an error row goes through csv.writer, which
-    quotes its message."""
+    A computed row is one f-string of its cells: a float is its repr, None
+    is blank, and an independent-arm gamma pair is a;b. Each float is
+    written once: a cell holding the object of an earlier cell (info_single
+    as f_mm or f_pp, info_optimal) reuses its text. Only an error row goes
+    through csv.writer, which quotes its message."""
     lines = _Lines()
     write_error = csv.writer(lines, lineterminator="\n").writerow
     step = (spec.stop - spec.start) / (spec.steps - 1)
+    # what no row changes: the fixed values (the swept one is overwritten),
+    # the estimation and the repeats
+    fixed, swept = dict(spec.fixed), spec.swept_variable
+    single, repeats = spec.estimation == "SingleParameter", spec.repeats
     for i in range(k * _CHUNK_ROWS, min(k * _CHUNK_ROWS + _CHUNK_ROWS, spec.steps)):
-        value = spec.stop if i == spec.steps - 1 else spec.start + i * step
+        value = fixed[swept] = spec.stop if i == spec.steps - 1 else spec.start + i * step
         try:
-            row = point_record(spec, value)
+            (_, mean_a, mean_b, var_a, var_b, cov, f_pp, f_mm, f_pm, one, two, delta_f,
+             g_analytic, g_numeric, best, q_one, q_two, _) = _row(spec, fixed, value, single, repeats)
         except _CONTAINED as exc:  # one bad point must not kill the sweep
-            row = dict.fromkeys(CSV_COLUMNS)
-            row["swept_value"] = value
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            write_error(row.values())
+            write_error((value, *_BLANK, f"{type(exc).__name__}: {exc}"))
             continue
-        pair = row["gamma_opt_numeric"]
-        if type(pair) is tuple:  # independent arms: one cell, a;b
-            row["gamma_opt_numeric"] = f"{pair[0]!r};{pair[1]!r}"
-        lines.append(",".join([
-            "" if cell is None else cell if type(cell) is str else repr(cell)
-            for cell in row.values()
-        ]) + "\n")
+        s_pp, s_mm, s_two = repr(f_pp), repr(f_mm), repr(two)
+        s_one = s_mm if one is f_mm else s_pp if one is f_pp else repr(one)
+        if g_numeric is None:  # no loss
+            gammas = ","
+        elif type(g_numeric) is tuple:  # independent arms: one cell, a;b
+            gammas = f",{g_numeric[0]!r};{g_numeric[1]!r}"
+        else:
+            gammas = f"{'' if g_analytic is None else repr(g_analytic)},{g_numeric!r}"
+        lines.append(
+            f"{value!r},{mean_a!r},{mean_b!r},{var_a!r},{var_b!r},{cov!r},{s_pp},{s_mm},"
+            f"{f_pm!r},{s_one},{s_two},{delta_f!r},{gammas},{s_one if best is one else s_two},"
+            f"{q_one!r},{q_two!r},\n"
+        )
     return "".join(lines)
 
 

@@ -40,13 +40,18 @@ class SplitterKind(Enum):
     NBS = "nbs"  # active nonlinear beam splitter, parameter G
 
 
+# the members each row compares with, bound once: Python 3.11 finds
+# SplitterKind.LBS through EnumType.__getattr__, about 0.1 us a lookup
+_LBS, _NBS = SplitterKind.LBS, SplitterKind.NBS
+
+
 class SplitterSpec(_Checked, namedtuple("SplitterSpec", "kind value")):
     """First-splitter description: LBS transmissivity or NBS gain."""
 
     __slots__ = ()
 
     def __new__(cls, kind: SplitterKind, value: float) -> "SplitterSpec":
-        if kind is SplitterKind.LBS:
+        if kind is _LBS:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"LBS transmissivity must be in [0, 1], got {value}")
         else:
@@ -130,7 +135,7 @@ def lbs_moments(inp: InterferometerInput) -> ModeStatistics:
     ModeStatistics
         The five closed-form moments.
     """
-    if inp.splitter.kind is not SplitterKind.LBS:
+    if inp.splitter.kind is not _LBS:
         raise ValueError("lbs_moments requires an LBS splitter")
     t = inp.splitter.value
     rr = 1.0 - t
@@ -139,12 +144,13 @@ def lbs_moments(inp: InterferometerInput) -> ModeStatistics:
     ch2 = math.cosh(inp.squeeze_r) ** 2
     e2r = math.exp(2.0 * inp.squeeze_r)
     c2r = math.cosh(2.0 * inp.squeeze_r)
+    # mean_a, mean_b, var_a, var_b, cov, by position: keywords cost a scan row ~0.6 us
     return ModeStatistics(
-        mean_a=t * a2 + rr * sh2,
-        mean_b=rr * a2 + t * sh2,
-        var_a=t * t * a2 + 2.0 * rr * rr * sh2 * ch2 + t * rr * (a2 * e2r + sh2),
-        var_b=rr * rr * a2 + 2.0 * t * t * sh2 * ch2 + t * rr * (a2 * e2r + sh2),
-        cov=t * rr * (a2 * (1.0 - e2r) + sh2 * c2r),
+        t * a2 + rr * sh2,
+        rr * a2 + t * sh2,
+        t * t * a2 + 2.0 * rr * rr * sh2 * ch2 + t * rr * (a2 * e2r + sh2),
+        rr * rr * a2 + 2.0 * t * t * sh2 * ch2 + t * rr * (a2 * e2r + sh2),
+        t * rr * (a2 * (1.0 - e2r) + sh2 * c2r),
     )
 
 
@@ -162,7 +168,7 @@ def nbs_moments(inp: InterferometerInput) -> ModeStatistics:
         The five closed-form moments; the covariance is positive (the
         amplifier correlates the arms).
     """
-    if inp.splitter.kind is not SplitterKind.NBS:
+    if inp.splitter.kind is not _NBS:
         raise ValueError("nbs_moments requires an NBS splitter")
     big_g2 = inp.splitter.value ** 2
     g2 = big_g2 - 1.0
@@ -171,12 +177,12 @@ def nbs_moments(inp: InterferometerInput) -> ModeStatistics:
     ch2 = math.cosh(inp.squeeze_r) ** 2
     e2r = math.exp(2.0 * inp.squeeze_r)
     c2r = math.cosh(2.0 * inp.squeeze_r)
-    return ModeStatistics(
-        mean_a=big_g2 * a2 + g2 * ch2,
-        mean_b=big_g2 * sh2 + g2 * (a2 + 1.0),
-        var_a=big_g2 * big_g2 * a2 + 2.0 * g2 * g2 * sh2 * ch2 + big_g2 * g2 * (a2 * e2r + ch2),
-        var_b=g2 * g2 * a2 + 2.0 * big_g2 * big_g2 * sh2 * ch2 + big_g2 * g2 * (a2 * e2r + ch2),
-        cov=big_g2 * g2 * (a2 * (1.0 + e2r) + ch2 * c2r),
+    return ModeStatistics(  # mean_a, mean_b, var_a, var_b, cov
+        big_g2 * a2 + g2 * ch2,
+        big_g2 * sh2 + g2 * (a2 + 1.0),
+        big_g2 * big_g2 * a2 + 2.0 * g2 * g2 * sh2 * ch2 + big_g2 * g2 * (a2 * e2r + ch2),
+        g2 * g2 * a2 + 2.0 * big_g2 * big_g2 * sh2 * ch2 + big_g2 * g2 * (a2 * e2r + ch2),
+        big_g2 * g2 * (a2 * (1.0 + e2r) + ch2 * c2r),
     )
 
 

@@ -48,7 +48,7 @@ from typing import NamedTuple, Union
 from .errors import NonFiniteObjective
 from .moments import ModeStatistics
 from .qfim_ideal import FisherMatrix, Target, qfim_matrix, two_param_bound
-from .qfim_ideal import _split, _tol
+from .qfim_ideal import _SUM, _split
 from .qfim_lossy import _Loss, c_matrix_single, c_matrix_two
 
 _FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
@@ -122,12 +122,12 @@ def _pair_argmin(
         a_a * a_b * j * sd_a * sd_b / det,
     )
     fm = qfim_matrix((*stats[:2], *m))
-    comp = _split(fm, target)[1]
+    _, comp, tol = _split(fm, target)
     # 0 where the Schur kernel treats f_pm as zero, as two_param_bound does
-    t_star = -fm.f_pm / comp if comp > 0.0 and abs(fm.f_pm) > _tol(fm) else 0.0
+    t_star = -fm.f_pm / comp if comp > 0.0 and abs(fm.f_pm) > tol else 0.0
     pairs, attained = [], True
     for t in (t_star, 0.0):
-        w_a, w_b = 1.0 + t, (1.0 - t if target is Target.PHASE_SUM else t - 1.0)
+        w_a, w_b = 1.0 + t, (1.0 - t if target is _SUM else t - 1.0)
         v_a, v_b = sd_a * w_a, sd_b * w_b  # w in standard units
         y_a = ((b_b * r_b + a_b) * a_a * v_a - b_a * j * a_b * v_b) / det
         y_b = ((b_a * r_a + a_a) * a_b * v_b - b_b * j * a_a * v_a) / det

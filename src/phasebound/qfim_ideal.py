@@ -25,6 +25,9 @@ class Target(Enum):
     PHASE_DIFFERENCE = "phase_difference"  # phi_minus, the SU(2) estimand
 
 
+_SUM, _DIFFERENCE = Target.PHASE_SUM, Target.PHASE_DIFFERENCE  # as moments._LBS
+
+
 class FisherMatrix(_Checked, namedtuple("FisherMatrix", "f_pp f_mm f_pm")):
     """Symmetric 2x2 information matrix (ideal F or lossy C).
 
@@ -51,16 +54,14 @@ class FisherMatrix(_Checked, namedtuple("FisherMatrix", "f_pp f_mm f_pm")):
         return tuple.__new__(cls, (f_pp, f_mm, f_pm))
 
 
-def _tol(fm: FisherMatrix) -> float:
-    # zero threshold for singular denominators, in the matrix's own units
-    return 1e-12 * max(fm.f_pp, fm.f_mm)
-
-
-def _split(fm: FisherMatrix, target: Target) -> tuple[float, float]:
-    """(target diagonal, complementary diagonal) for the given target."""
-    if target is Target.PHASE_DIFFERENCE:
-        return fm.f_mm, fm.f_pp
-    return fm.f_pp, fm.f_mm
+def _split(fm: FisherMatrix, target: Target) -> tuple[float, float, float]:
+    """(target diagonal, complementary diagonal, zero threshold) for the given
+    target; the threshold judges singular denominators in the matrix's units."""
+    f_pp, f_mm, _ = fm
+    tol = 1e-12 * max(f_pp, f_mm)
+    if target is _DIFFERENCE:
+        return f_mm, f_pp, tol
+    return f_pp, f_mm, tol
 
 
 def qfim_matrix(stats: ModeStatistics) -> FisherMatrix:
@@ -87,8 +88,7 @@ def _schur_terms(fm: FisherMatrix, target: Target) -> tuple[float, float]:
     complementary diagonal is; NonFiniteObjective when either term is not
     finite. Where f_pm**2 overflows but the shift need not, the shift is
     taken as f_pm * (f_pm / comp)."""
-    diag, comp = _split(fm, target)
-    tol = _tol(fm)
+    diag, comp, tol = _split(fm, target)
     if abs(fm.f_pm) <= tol:
         shift = 0.0
     elif comp <= tol:
