@@ -78,8 +78,9 @@ def prepare_input(alpha_mag: float, squeeze_r: float, cutoff: int) -> TruncatedS
         If the truncated product state misses more than 1e-10 of its
         norm; retry with a larger cutoff.
     """
-    if alpha_mag < 0.0 or squeeze_r < 0.0:
-        raise ValueError("alpha_mag and squeeze_r must be non-negative")
+    for name, value in (("alpha_mag", alpha_mag), ("squeeze_r", squeeze_r)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be >= 0 and finite, got {value}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be a positive integer, got {cutoff}")
     n = np.arange(cutoff + 1)

@@ -54,9 +54,10 @@ class SplitterSpec(_Checked, namedtuple("SplitterSpec", "kind value")):
         if kind is _LBS:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"LBS transmissivity must be in [0, 1], got {value}")
-        else:
-            if value < 1.0:
-                raise ValueError(f"NBS gain must be >= 1, got {value}")
+        elif value < 1.0:
+            raise ValueError(f"NBS gain must be >= 1, got {value}")
+        elif not value < math.inf:  # +inf or NaN
+            raise ValueError(f"NBS gain must be finite, got {value}")
         return tuple.__new__(cls, (kind, value))
 
     @classmethod
@@ -78,10 +79,11 @@ class InterferometerInput(
     def __new__(
         cls, alpha_mag: float, squeeze_r: float, splitter: SplitterSpec
     ) -> "InterferometerInput":
-        if alpha_mag < 0.0:
-            raise ValueError(f"alpha_mag must be >= 0, got {alpha_mag}")
-        if squeeze_r < 0.0:
-            raise ValueError(f"squeeze_r must be >= 0, got {squeeze_r}")
+        # a NaN fails each "not (... <= ...)", and an infinity its upper bound
+        if not 0.0 <= alpha_mag < math.inf:
+            raise ValueError(f"alpha_mag must be >= 0 and finite, got {alpha_mag}")
+        if not 0.0 <= squeeze_r < math.inf:
+            raise ValueError(f"squeeze_r must be >= 0 and finite, got {squeeze_r}")
         return tuple.__new__(cls, (alpha_mag, squeeze_r, splitter))
 
 

@@ -49,7 +49,9 @@ from .errors import NonFiniteObjective
 from .moments import ModeStatistics
 from .qfim_ideal import FisherMatrix, Target, qfim_matrix, two_param_bound
 from .qfim_ideal import _SUM, _split
-from .qfim_lossy import _Loss, c_matrix_single, c_matrix_two
+from .qfim_lossy import _Loss, c_matrix_two
+# perfbench/probes.py wraps phasebound.optimizer.c_matrix_single
+from .qfim_lossy import c_matrix_single  # noqa: F401
 
 _FREE_GAMMA = 0.0  # gamma reported where the bound does not depend on it
 _ULP = 2.0**-52
@@ -251,18 +253,17 @@ def optimize_gamma(
     if isinstance(loss_family, TwoArmSymmetric):
         eta, attained = loss_family.eta, True
         gammas = _shared_gamma(stats, eta, target)
-        c_matrix, losses = c_matrix_two, [(eta, eta, g, g) for g in gammas]
-    elif isinstance(loss_family, SingleArm):
-        pairs, attained = _pair_argmin(stats, loss_family.eta, 1.0, target)
-        gammas = [gamma for gamma, _ in pairs]
-        c_matrix, losses = c_matrix_single, [(loss_family.eta, g) for g in gammas]
-    elif isinstance(loss_family, TwoArmIndependent):
-        gammas, attained = _pair_argmin(stats, *loss_family, target)
-        c_matrix, losses = c_matrix_two, [(*loss_family, *g) for g in gammas]
+        losses = [(eta, eta, g, g) for g in gammas]
+    elif isinstance(loss_family, (SingleArm, TwoArmIndependent)):
+        one_arm = isinstance(loss_family, SingleArm)
+        etas = (loss_family.eta, 1.0) if one_arm else loss_family  # one arm: b is lossless
+        pairs, attained = _pair_argmin(stats, *etas, target)
+        losses = [(*etas, *g) for g in pairs]
+        gammas = [g for g, _ in pairs] if one_arm else pairs
     else:
         raise TypeError(f"unknown loss family: {loss_family!r}")
-    matrix = c_matrix(stats, losses[0])
+    matrix = c_matrix_two(stats, losses[0])
     minimum = two_param_bound(matrix, target)  # raises where the kernel does
-    if not math.isfinite(single := _split(c_matrix(stats, losses[1]), target)[0]):
+    if not math.isfinite(single := _split(c_matrix_two(stats, losses[1]), target)[0]):
         raise NonFiniteObjective(f"diagonal {single} at gamma {gammas[1]} is not finite")
     return OptimizationResult(gammas[0], minimum, 1, attained, matrix, single)

@@ -60,17 +60,11 @@ class TwoArmLoss(_Loss, namedtuple("TwoArmLoss", "eta_a eta_b gamma_a gamma_b"))
 
 
 def c_matrix_single(stats: ModeStatistics, loss: SingleArmLoss) -> FisherMatrix:
-    """Single-arm-loss information matrix: the ideal matrix of the moments
-    arm a keeps, var_a -> u**2 var_a + L and cov -> u cov, with
-    u = eta_a - gamma*(1 - eta_a) and the loss term
-    L = (gamma+1)**2 (1-eta_a) eta_a <n_a>; loss is read by position.
-
-    At eta_a = 1 this reduces to the ideal matrix for every gamma.
+    """Single-arm-loss information matrix: ``c_matrix_two`` at
+    (eta_a, 1, gamma, 0), where arm b is exact (u_b = 1, L_b = 0); loss is
+    read by position. At eta_a = 1 this is the ideal matrix for every gamma.
     """
-    eta, gamma = loss
-    u = eta - gamma * (1.0 - eta)
-    big_l = (gamma + 1.0) ** 2 * (1.0 - eta) * eta * stats.mean_a
-    return qfim_matrix((*stats[:2], u * u * stats.var_a + big_l, stats.var_b, u * stats.cov))
+    return c_matrix_two(stats, (loss[0], 1.0, loss[1], 0.0))
 
 
 def c_matrix_two(stats: ModeStatistics, loss: TwoArmLoss) -> FisherMatrix:
@@ -78,13 +72,13 @@ def c_matrix_two(stats: ModeStatistics, loss: TwoArmLoss) -> FisherMatrix:
     the ideal matrix of var_i -> u_i**2 var_i + L_i and cov -> u_a u_b cov,
     with u_i = 1 - (gamma_i + 1)(1 - eta_i) and
     L_i = (gamma_i + 1)**2 (1 - eta_i) eta_i <n_i>; loss is read by position."""
+    mean_a, mean_b, var_a, var_b, cov = stats
     eta_a, eta_b, gamma_a, gamma_b = loss
-    u_a = 1.0 - (gamma_a + 1.0) * (1.0 - eta_a)
-    u_b = 1.0 - (gamma_b + 1.0) * (1.0 - eta_b)
-    l_a = (gamma_a + 1.0) ** 2 * (1.0 - eta_a) * eta_a * stats.mean_a
-    l_b = (gamma_b + 1.0) ** 2 * (1.0 - eta_b) * eta_b * stats.mean_b
-    arm_a, arm_b = u_a * u_a * stats.var_a + l_a, u_b * u_b * stats.var_b + l_b
-    return qfim_matrix((*stats[:2], arm_a, arm_b, u_a * u_b * stats.cov))
+    w_a, w_b, k_a, k_b = gamma_a + 1.0, gamma_b + 1.0, 1.0 - eta_a, 1.0 - eta_b
+    u_a, u_b = 1.0 - w_a * k_a, 1.0 - w_b * k_b
+    arm_a = u_a * u_a * var_a + w_a**2 * k_a * eta_a * mean_a
+    arm_b = u_b * u_b * var_b + w_b**2 * k_b * eta_b * mean_b
+    return qfim_matrix((mean_a, mean_b, arm_a, arm_b, u_a * u_b * cov))
 
 
 def gamma_opt_single(stats: ModeStatistics, eta_a: float, target: Target) -> float:

@@ -97,6 +97,24 @@ def test_prepare_validates_arguments():
         prepare_input(1.0, 0.0, 0)
 
 
+@pytest.mark.parametrize(
+    "alpha_mag, squeeze_r, field",
+    [
+        # NaN fails "alpha_mag > 0", which would prepare the vacuum on mode a
+        (math.nan, 0.5, "alpha_mag"),
+        (math.inf, 0.5, "alpha_mag"),
+        # NaN squeezing gives a NaN state, whose NaN norm deficit fails the cutoff check
+        (1.0, math.nan, "squeeze_r"),
+        (1.0, math.inf, "squeeze_r"),
+    ],
+)
+def test_prepare_refuses_non_finite_amplitudes(alpha_mag, squeeze_r, field):
+    with pytest.raises(ValueError) as exc:
+        prepare_input(alpha_mag, squeeze_r, 64)
+    value = alpha_mag if field == "alpha_mag" else squeeze_r
+    assert str(exc.value) == f"{field} must be >= 0 and finite, got {value}"
+
+
 # ---------------------------------------------------------------------------
 # splitters
 

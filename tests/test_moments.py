@@ -77,6 +77,22 @@ def test_input_rejects_negative_amplitudes():
         InterferometerInput(1.0, -0.5, SplitterSpec.lbs(0.5))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["alpha_mag", "squeeze_r"])
+def test_input_rejects_non_finite_amplitudes(field, value):
+    fields = {"alpha_mag": 1.0, "squeeze_r": 0.5, field: value}
+    with pytest.raises(ValueError) as exc:
+        InterferometerInput(**fields, splitter=SplitterSpec.lbs(0.5))
+    assert str(exc.value) == f"{field} must be >= 0 and finite, got {value}"
+
+
+@pytest.mark.parametrize("gain", [math.nan, math.inf])
+def test_splitter_spec_rejects_non_finite_gain(gain):
+    with pytest.raises(ValueError) as exc:
+        SplitterSpec.nbs(gain)
+    assert str(exc.value) == f"NBS gain must be finite, got {gain}"
+
+
 def test_mode_statistics_rejects_negative_variance():
     with pytest.raises(ValueError):
         ModeStatistics(1.0, 1.0, -1.0, 1.0, 0.0)

@@ -718,6 +718,34 @@ def test_reported_minimum_is_global(data, interferometer):
             assert indep <= sym * (1 + 1e-9) + sym_rounding + indep_rounding
 
 
+_EDGE_ETA = st.one_of(
+    st.sampled_from([0.0, 1e-9, 1.0 - 1e-9, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    interferometer=st.sampled_from(["SU2", "SU11"]),
+    eta=_EDGE_ETA,
+    target=st.sampled_from(list(Target)),
+)
+def test_one_arm_loss_is_two_arm_loss_with_a_lossless_arm_b(data, interferometer, eta, target):
+    # both build C with c_matrix_two at (eta, 1, gamma_a, 0), so they agree bit for bit
+    stats = data.draw(_statistics(interferometer))
+    try:
+        one = optimize_gamma(stats, SingleArm(eta), target)
+    except (SingularComplement, NonFiniteObjective) as exc:
+        with pytest.raises(type(exc)):
+            optimize_gamma(stats, TwoArmIndependent(eta, 1.0), target)
+        return
+    two = optimize_gamma(stats, TwoArmIndependent(eta, 1.0), target)
+    assert one.argmin == two.argmin[0] and two.argmin[1] == 0.0
+    assert repr((one.minimum, one.single_minimum, one.matrix, one.converged)) == repr(
+        (two.minimum, two.single_minimum, two.matrix, two.converged)
+    )
+
+
 def test_near_singular_one_arm_bound_is_the_ideal_schur_value():
     # |J| = 1 to 1 ulp and a loss of 1e-12: the infimum, 6.0e-16, lies at
     # gamma = -1, where C is the ideal F; an absolute zero threshold on f_pm
@@ -992,7 +1020,7 @@ _SPOILED = [
     (ModeStatistics, "mean_a", -1.0, "mean photon numbers must be >= 0"),
     (ModeStatistics, "cov", 5.0, "cov=5.0 violates |cov| <= sqrt(var_a*var_b)"),
     (SplitterSpec, "value", 0.5, "NBS gain must be >= 1, got 0.5"),
-    (InterferometerInput, "squeeze_r", -1.0, "squeeze_r must be >= 0, got -1.0"),
+    (InterferometerInput, "squeeze_r", -1.0, "squeeze_r must be >= 0 and finite, got -1.0"),
     (FisherMatrix, "f_pm", 5.0, "matrix is not positive semidefinite"),
     (ScanSpec, "repeats", 0, "repeats must be a positive integer, got 0"),
     (TruncatedState, "amplitudes", np.zeros((2, 3)), "amplitudes must be square, got shape"),
