@@ -8,8 +8,10 @@ for the amplifier) is a real shift on the grid, and exp(iθK) is applied
 by its Chebyshev expansion in Bessel coefficients (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)), with the spectrum of the truncated K
 bounded by Gershgorin's theorem; only numpy is needed. K is real, so the
-recurrence runs in float64 and applies K as two shifted multiply-adds on
-the flattened grid. Each arm's branches (l of n photons lost, with
+recurrence runs in float64. On the flattened d x d grid K links a cell
+only to the cells s away (s = d - 1 for a†b, d + 1 for a†b†), so the grid
+cut into rows of length s is s independent column chains, evolved one
+cache-sized block at a time. Each arm's branches (l of n photons lost, with
 binomial weight) are summed per initial photon number, and the two arms'
 sums are contracted with the photon-number distribution; single-arm loss
 is the same sum with arm b lossless. No closed-form binomial moment is
@@ -44,6 +46,7 @@ _NBS_DEFICIT = 1e-8
 _SHELL_MASS = 1e-9
 _SHELL_WIDTH = 4
 _MAX_WORK = 320
+_BLOCK_CELLS = 1 << 14  # cells per block of chains in _evolve: 128 kB per float array
 _BESSEL_TAIL = 1e-18
 
 
@@ -125,10 +128,10 @@ def _bessel_series(t: float) -> list:
     return series[:stop]
 
 
-def _evolve(amplitudes: np.ndarray, kind: SplitterKind, angle: float) -> np.ndarray:
-    """exp(i*angle*K) applied to the amplitudes, angle >= 0, K = a†b + ab†
-    for the passive splitter and a†b† + ab for the amplifier, truncated to
-    the grid.
+def _evolve(amplitudes: np.ndarray, kind: SplitterKind, angle: float, d: int = 0) -> np.ndarray:
+    """exp(i*angle*K) applied to the amplitudes zero-padded to a d x d grid
+    (by default their own), angle >= 0, K = a†b + ab† for the passive
+    splitter and a†b† + ab for the amplifier, truncated to that grid.
 
     Chebyshev expansion exp(itX) = J_0(t) + 2 sum_k i^k J_k(t) T_k(X) with
     X = K/R and t = angle*R. R = 2(d - 1) bounds every row sum of the
@@ -138,44 +141,57 @@ def _evolve(amplitudes: np.ndarray, kind: SplitterKind, angle: float) -> np.ndar
     0, 2 mod 4) sum into the real part of the result, those of odd k
     (i^k = i, -i for k = 1, 3 mod 4) into the imaginary part, and a complex
     input is evolved as its real and imaginary parts. On the flattened
-    grid, applying K takes two contiguous multiply-adds, shifted by d - 1
-    for a†b and d + 1 for a†b†. The result is complex at every angle.
+    grid K links cell p only to p - s and p + s, with s = d - 1 for a†b and
+    d + 1 for a†b†, so the grid cut into rows of length s is s independent
+    column chains; a link that wraps a row or leaves the grid has weight 0.
+    The recurrence runs on one block of chains (about _BLOCK_CELLS cells)
+    at a time, so the complex result is the only full-grid array, and each
+    cell gets the same operations in the same order as on the whole grid.
+    The result is complex at every angle.
     """
-    d = amplitudes.shape[0]
-    if angle == 0.0:
-        return amplitudes.astype(complex)
+    n = amplitudes.shape[0]
+    d = d or n
     radius = 2.0 * (d - 1)
-    coeffs = _bessel_series(angle * radius)
-    # 2X moves (i, j) to (i+1, j-1) with weight 2 sqrt((i+1)j)/R for a†b, to
-    # (i+1, j+1) with 2 sqrt((i+1)(j+1))/R for a†b†, and back; 0 off the grid
+    coeffs = _bessel_series(angle * radius) if angle else [1.0]
     lbs = kind is SplitterKind.LBS
     shift = d - 1 if lbs else d + 1
-    i, j = np.divmod(np.arange(d * d - shift), d)
-    weight = (2.0 / radius) * np.sqrt((i + 1.0) * (j if lbs else (j + 1.0) * (j < d - 1)))
-    rows = [amplitudes.real, amplitudes.imag][: 2 if amplitudes.imag.any() else 1]
-    cur = np.array(rows, dtype=float).reshape(len(rows), -1)  # T_0
-    prev, tmp = np.zeros_like(cur), np.empty_like(cur)
-    head = tmp[:, :-shift]
-    sums = [coeffs[0] * cur, np.zeros_like(cur)]  # even k, odd k
-    for k in range(1, len(coeffs)):
-        # prev <- 2X cur - prev, negating prev within the first add
-        np.negative(prev[:, :shift], out=prev[:, :shift])
-        np.multiply(weight, cur[:, :-shift], out=head)
-        np.subtract(head, prev[:, shift:], out=prev[:, shift:])
-        np.multiply(weight, cur[:, shift:], out=head)
-        prev[:, :-shift] += head
-        prev, cur = cur, prev
-        if k == 1:
-            cur *= 0.5  # T_1 = X T_0
-        np.multiply((2.0, -2.0)[k % 4 // 2] * coeffs[k], cur, out=tmp)
-        sums[k % 2] += tmp
-    out = sums[0] + 1j * sums[1]  # exp(itX) applied to each row
-    return (out[0] + 1j * out[1] if len(out) == 2 else out[0]).reshape(d, d)
-
-
-def _shell_mass(amplitudes: np.ndarray, width: int) -> float:
-    prob = np.abs(amplitudes) ** 2
-    return float(prob[-width:, :].sum() + prob[:, -width:].sum())
+    chain = -(-d * d // shift)  # cells per chain; the last row is partly padding
+    parts = 2 if amplitudes.imag.any() else 1
+    result = np.empty((chain, shift), dtype=complex)
+    for cols in np.array_split(np.arange(shift), min(-(-chain * shift // _BLOCK_CELLS), shift)):
+        flat = cols + np.arange(0, chain * shift, shift)[:, None]  # each cell's p
+        i, j = np.divmod(flat, d)
+        inside = (i < n) & (j < n)
+        cur = np.zeros((parts,) + flat.shape)  # T_0
+        values = amplitudes[i[inside], j[inside]]
+        cur[:, inside] = (values.real, values.imag)[:parts]
+        # 2X moves (i, j) to (i+1, j-1) with weight 2 sqrt((i+1)j)/R for a†b, to
+        # (i+1, j+1) with 2 sqrt((i+1)(j+1))/R for a†b†, and back; 0 off the grid
+        i, j = i[:-1], j[:-1]
+        weight = (2.0 / radius) * np.sqrt((i + 1.0) * (j if lbs else (j + 1.0) * (j < d - 1)))
+        weight[flat[:-1] >= d * d - shift] = 0.0
+        prev, tmp = np.zeros_like(cur), np.empty_like(cur)
+        head = tmp[:, :-1]
+        sums = [coeffs[0] * cur, np.zeros_like(cur)]  # even k, odd k
+        for k in range(1, len(coeffs)):
+            # prev <- 2X cur - prev, negating prev within the first add
+            np.negative(prev[:, 0], out=prev[:, 0])
+            np.multiply(weight, cur[:, :-1], out=head)
+            np.subtract(head, prev[:, 1:], out=prev[:, 1:])
+            np.multiply(weight, cur[:, 1:], out=head)
+            prev[:, :-1] += head
+            prev, cur = cur, prev
+            if k == 1:
+                cur *= 0.5  # T_1 = X T_0
+            np.multiply((2.0, -2.0)[k % 4 // 2] * coeffs[k], cur, out=tmp)
+            sums[k % 2] += tmp
+        even, odd = sums
+        block = result[:, cols[0] : cols[-1] + 1]
+        if parts == 1:
+            block.real, block.imag = even[0], odd[0]
+        else:  # exp(itX) of the real part, plus i times that of the imaginary part
+            block.real, block.imag = even[0] - odd[1], odd[0] + even[1]
+    return result.reshape(-1)[: d * d].reshape(d, d)
 
 
 def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedState:
@@ -187,17 +203,18 @@ def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedSt
     θR below 1e-18.
 
     The passive splitter acts on the state's own grid and must conserve
-    norm to 1e-12. The amplifier acts on an enlarged working grid
-    (growing it as needed) and is accepted only when the outer
-    4-row/4-column shell holds at most 1e-9 of the probability and the
-    norm deficit stays within 1e-8; the returned state lives on the
-    working grid so no amplified population is discarded.
+    norm to 1e-12. The amplifier acts on an enlarged working grid, of
+    cutoff max(2 x cutoff, 64) and then 1.5x + 8 at a time up to 320, and
+    is accepted only when the outer 4-row/4-column shell holds at most
+    1e-9 of the probability and the norm deficit stays within 1e-8; the
+    returned state lives on the working grid so no amplified population
+    is discarded. A first grid above 320 is the only one tried.
 
     Raises
     ------
     CutoffTooSmall
-        If norm drifts on the passive path, or no working grid up to
-        320 passes the shell test on the amplifying path.
+        If norm drifts on the passive path, or on the amplifying path the
+        last working grid tried (320, or the first if larger) fails.
     """
     if splitter.kind is SplitterKind.LBS:
         angle = math.acos(math.sqrt(splitter.value))
@@ -212,15 +229,16 @@ def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedSt
     angle = float(np.arccosh(splitter.value))
     work = max(2 * state.cutoff, 64)
     while True:
-        padded = np.zeros((work + 1, work + 1), dtype=complex)
-        padded[: state.cutoff + 1, : state.cutoff + 1] = state.amplitudes
-        out = _evolve(padded, SplitterKind.NBS, angle)
-        deficit = 1.0 - float(np.sum(np.abs(out) ** 2))
-        if _shell_mass(out, _SHELL_WIDTH) <= _SHELL_MASS and abs(deficit) <= _NBS_DEFICIT:
+        out = _evolve(state.amplitudes, SplitterKind.NBS, angle, work + 1)
+        prob = np.abs(out)
+        prob **= 2  # |psi|^2, once for the deficit and the shell
+        deficit = 1.0 - float(np.sum(prob))
+        shell = float(prob[-_SHELL_WIDTH:, :].sum() + prob[:, -_SHELL_WIDTH:].sum())
+        if shell <= _SHELL_MASS and abs(deficit) <= _NBS_DEFICIT:
             return TruncatedState(out)
         if work >= _MAX_WORK:
             raise CutoffTooSmall(
-                f"amplifier outgrew the maximum working grid {_MAX_WORK} "
+                f"amplifier outgrew the working grid {work}, the last one tried "
                 f"(gain {splitter.value}, input cutoff {state.cutoff})"
             )
         work = min(int(work * 1.5) + 8, _MAX_WORK)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from phasebound import (
     nbs_moments,
     qfim_matrix,
 )
+from phasebound import fock_oracle
 from phasebound.fock_oracle import (
     TruncatedState,
     _bessel_series,
@@ -155,11 +157,37 @@ def test_nbs_moments_match_closed_forms():
         assert _rel(getattr(found, field), getattr(expected, field), scale) <= 1e-6
 
 
-def test_nbs_refuses_when_grid_tops_out():
-    # bright input plus strong gain outgrows the 320-point working grid
-    state = prepare_input(5.0, 1.2, 120)
-    with pytest.raises(CutoffTooSmall, match="working grid"):
+# input cutoff 120 tries the working grids 240 and then the cap 320; 170
+# starts above the cap, at 340, and that grid is the only one it tries
+@pytest.mark.parametrize("cutoff, last", [(120, 320), (170, 340)])
+def test_nbs_refuses_when_grid_tops_out(cutoff, last):
+    # bright input plus strong gain outgrows the last working grid tried
+    state = prepare_input(5.0, 1.2, cutoff)
+    with pytest.raises(CutoffTooSmall) as exc:
         apply_splitter(state, SplitterSpec.nbs(2.5))
+    assert str(exc.value) == (
+        f"amplifier outgrew the working grid {last}, the last one tried "
+        f"(gain 2.5, input cutoff {cutoff})"
+    )
+
+
+def test_nbs_first_grid_is_twice_the_cutoff_even_above_the_cap():
+    out = apply_splitter(prepare_input(1.0, 0.3, 170), SplitterSpec.nbs(1.2))
+    assert out.cutoff == 340
+
+
+def test_amplifier_peak_memory_is_a_few_grids():
+    # the 257-wide working grid's complex result is 1.06 MB; evolving the
+    # whole grid at once (six float grids and a padded copy) peaked at 6.5 MB
+    state = prepare_input(1.7, 0.4, 128)
+    tracemalloc.start()
+    try:
+        out = apply_splitter(state, SplitterSpec.nbs(1.22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.cutoff == 256
+    assert peak <= 3.0e6
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +354,90 @@ def test_evolve_prepared_state_on_production_grids(kind, d, angle):
     assert np.max(np.abs(found - _dense_evolve(amp, kind, angle))) <= 1e-13
     # the odd-k terms carry the imaginary part
     assert np.linalg.norm(found.imag) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# reference: the propagator on the whole flattened grid at once, before it ran
+# one block of column chains at a time; the blocked kernel must match it bitwise
+
+
+def _whole_grid_evolve(amplitudes, kind, angle):
+    d = amplitudes.shape[0]
+    if angle == 0.0:
+        return amplitudes.astype(complex)
+    radius = 2.0 * (d - 1)
+    coeffs = _bessel_series(angle * radius)
+    lbs = kind is SplitterKind.LBS
+    shift = d - 1 if lbs else d + 1
+    i, j = np.divmod(np.arange(d * d - shift), d)
+    weight = (2.0 / radius) * np.sqrt((i + 1.0) * (j if lbs else (j + 1.0) * (j < d - 1)))
+    rows = [amplitudes.real, amplitudes.imag][: 2 if amplitudes.imag.any() else 1]
+    cur = np.array(rows, dtype=float).reshape(len(rows), -1)  # T_0
+    prev, tmp = np.zeros_like(cur), np.empty_like(cur)
+    head = tmp[:, :-shift]
+    sums = [coeffs[0] * cur, np.zeros_like(cur)]  # even k, odd k
+    for k in range(1, len(coeffs)):
+        # prev <- 2X cur - prev, negating prev within the first add
+        np.negative(prev[:, :shift], out=prev[:, :shift])
+        np.multiply(weight, cur[:, :-shift], out=head)
+        np.subtract(head, prev[:, shift:], out=prev[:, shift:])
+        np.multiply(weight, cur[:, shift:], out=head)
+        prev[:, :-shift] += head
+        prev, cur = cur, prev
+        if k == 1:
+            cur *= 0.5  # T_1 = X T_0
+        np.multiply((2.0, -2.0)[k % 4 // 2] * coeffs[k], cur, out=tmp)
+        sums[k % 2] += tmp
+    out = sums[0] + 1j * sums[1]  # exp(itX) applied to each row
+    return (out[0] + 1j * out[1] if len(out) == 2 else out[0]).reshape(d, d)
+
+
+def _blocks(d, kind):
+    """How many blocks of chains _evolve splits a d x d grid into."""
+    shift = d - 1 if kind is SplitterKind.LBS else d + 1
+    cells = -(-d * d // shift) * shift
+    return -(-cells // fock_oracle._BLOCK_CELLS)
+
+
+# (grid side, blocks of chains, angle): well below one block, one block
+# nearly full, just over one block, and the amplifier's working grid at cutoff 128
+_BLOCK_CASES = [
+    *((d, blocks, angle) for d, blocks in [(12, 1), (127, 1), (129, 2)]
+      for angle in (1e-7, 0.3, 1.1)),
+    (257, 5, math.acosh(1.22)),
+]
+
+
+@pytest.mark.parametrize("style", ["complex_real", "float", "mixed"])
+@pytest.mark.parametrize("kind", [SplitterKind.LBS, SplitterKind.NBS])
+@pytest.mark.parametrize("d, blocks, angle", _BLOCK_CASES)
+def test_blocked_evolve_is_bitwise_the_whole_grid_evolve(style, kind, d, blocks, angle):
+    assert _blocks(d, kind) == blocks
+    amp = _styled_grid(d, style, seed=d)
+    assert np.array_equal(_evolve(amp, kind, angle), _whole_grid_evolve(amp, kind, angle))
+
+
+@pytest.mark.parametrize("style", _STYLES)
+@pytest.mark.parametrize("kind", [SplitterKind.LBS, SplitterKind.NBS])
+@pytest.mark.parametrize("d", [2, 3, 9, 12])
+def test_blocked_evolve_is_bitwise_with_many_small_blocks(monkeypatch, style, kind, d):
+    # blocks of a few chains, some of unequal width, on grids the tests above keep whole
+    monkeypatch.setattr(fock_oracle, "_BLOCK_CELLS", 7)
+    amp = _styled_grid(d, style, seed=3 * d)
+    assert np.array_equal(_evolve(amp, kind, 0.9), _whole_grid_evolve(amp, kind, 0.9))
+
+
+@pytest.mark.parametrize("style", ["complex_real", "mixed"])
+@pytest.mark.parametrize("cutoff, work", [(32, 64), (64, 128), (128, 256)])
+def test_padded_amplifier_evolve_is_bitwise_the_whole_grid_evolve(style, cutoff, work):
+    # the amplifier gathers its input into the working grid block by block
+    # instead of evolving a zero-padded copy
+    amp = _styled_grid(cutoff + 1, style, seed=cutoff)
+    padded = np.zeros((work + 1, work + 1), dtype=complex)
+    padded[: cutoff + 1, : cutoff + 1] = amp
+    angle = math.acosh(1.22)
+    found = _evolve(amp, SplitterKind.NBS, angle, work + 1)
+    assert np.array_equal(found, _whole_grid_evolve(padded, SplitterKind.NBS, angle))
 
 
 _BESSEL_ARGUMENTS = [1e-8, 0.3, 2.0, 17.3, 150.0, 640.0]

@@ -1,8 +1,8 @@
 """Physical properties of the lossy bounds over random configurations.
 
-More loss never adds information, and a bound cannot depend on which arm is
-called a. The tolerances below are the worst seen over many draws, with
-headroom; each is named in CHANGES.md.
+More loss never adds information, a bound cannot depend on which arm is
+called a, and a lossless arm is no loss at all. The tolerances below are the
+worst seen over many draws, with headroom; each is named in CHANGES.md.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from phasebound import (
     InterferometerInput,
     ModeStatistics,
     NonpositiveInformation,
+    PhaseboundError,
     SingleArm,
     SingularComplement,
     SplitterSpec,
@@ -103,6 +104,27 @@ def test_no_bound_rises_as_loss_grows(point, loss, etas, drops, equal):
     slack = _MONOTONE_SLACK * more[2]
     assert less[0] <= more[0] + slack, ("info_single", etas, (low_eta, low_eta_b))
     assert less[1] <= more[1] + slack, ("info_two", etas, (low_eta, low_eta_b))
+
+
+def _cells(interferometer, estimation, loss, fixed):
+    """The point row's cells by repr, gamma columns excepted, or the type of
+    the error it raises."""
+    try:
+        row = point_record(ScanSpec(interferometer, estimation, loss, fixed))
+    except PhaseboundError as exc:
+        return type(exc)
+    return {name: repr(cell) for name, cell in row.items() if not name.startswith("gamma_opt")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_point(), estimation=st.sampled_from(["SingleParameter", "TwoParameter"]))
+def test_transparent_arms_give_the_lossless_row(point, estimation):
+    # at eta = 1 nothing is lost, whatever gamma: the row is the lossless one
+    interferometer, fixed = point
+    lossless = _cells(interferometer, estimation, "None", fixed)
+    for loss in ("OneArm", "TwoArm"):
+        lossy = _cells(interferometer, estimation, loss, {**fixed, "eta": 1.0, "eta_b": 1.0})
+        assert lossy == lossless, loss
 
 
 @st.composite
