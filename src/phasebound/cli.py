@@ -22,7 +22,6 @@ Configuration is a single JSON document (file or standard input via
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -312,26 +311,18 @@ def _row(
 # rows a scan computes, formats and writes at once, and that a --jobs worker
 # sends back at once: about 150 KB of text
 _CHUNK_ROWS = 500
-# the blank cells of an error row, between its swept value and its message
-_BLANK = (None,) * (len(CSV_COLUMNS) - 2)
-
-
-class _Lines(list):
-    """A list that csv.writer writes into."""
-
-    write = list.append
 
 
 def _chunk(spec: ScanSpec, k: int) -> str:
     """CSV text of the sweep's k-th chunk of rows.
 
-    A computed row is one f-string of its cells: a float is its repr, None
-    is blank, and an independent-arm gamma pair is a;b. Each float is
-    written once: a cell holding the object of an earlier cell (info_single
-    as f_mm or f_pp, info_optimal) reuses its text. Only an error row goes
-    through csv.writer, which quotes its message."""
-    lines = _Lines()
-    write_error = csv.writer(lines, lineterminator="\n").writerow
+    Every row is one f-string of its cells: a float is its repr, None is
+    blank, and an independent-arm gamma pair is a;b. Each float is written
+    once: a cell holding the object of an earlier cell (info_single as f_mm
+    or f_pp, info_optimal) reuses its text. An error row's message is quoted,
+    its quotes doubled, where it holds a comma, a quote or a newline, as by
+    csv.writer."""
+    lines = []
     step = (spec.stop - spec.start) / (spec.steps - 1)
     # what no row changes: the fixed values (the swept one is overwritten),
     # the estimation and the repeats
@@ -343,7 +334,10 @@ def _chunk(spec: ScanSpec, k: int) -> str:
             (_, mean_a, mean_b, var_a, var_b, cov, f_pp, f_mm, f_pm, one, two, delta_f,
              g_analytic, g_numeric, best, q_one, q_two, _) = _row(spec, fixed, value, single, repeats)
         except _CONTAINED as exc:  # one bad point must not kill the sweep
-            write_error((value, *_BLANK, f"{type(exc).__name__}: {exc}"))
+            message = f"{type(exc).__name__}: {exc}"
+            if "," in message or '"' in message or "\n" in message:
+                message = '"' + message.replace('"', '""') + '"'
+            lines.append(f"{value!r}{',' * (len(CSV_COLUMNS) - 1)}{message}\n")
             continue
         s_pp, s_mm, s_two = repr(f_pp), repr(f_mm), repr(two)
         s_one = s_mm if one is f_mm else s_pp if one is f_pp else repr(one)

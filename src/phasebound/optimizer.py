@@ -212,12 +212,15 @@ def _shared_gamma(stats: ModeStatistics, eta: float, target: Target) -> tuple[fl
     big, e = (va, -1.0) if va >= vb else (vb, 1.0)
     root = math.sqrt(big)
     ratio = cov / root if root else 0.0
-    # at cov = big (|J| = 1, equal variances) q is 0, which ratio - root misses by rounding
-    p, q = root + ratio, (0.0 if cov == big else e * (ratio - root))
+    p, q = root + ratio, e * (ratio - root)
     r = max(va * vb - cov * cov, 0.0) / big if big else 0.0
     s2, t_l, l0 = q * q + r, (a_b - a_a) / l2, 4.0 * a_a * a_b / l2  # S = s2 (t - t_s)**2 + s0
-    if s2 == 0.0:
-        pairs = [(p * p, l0)]  # S is constant: g is least where L is
+    # S is constant (g least where L is) where q and r are 0 within the rounding of
+    # ratio - root and of va vb - cov**2, as at |J| = 1 and equal variances; in
+    # squares, so that s2 > 0 below even where q * q underflows
+    tol = 4.0 * _ULP * p
+    if q * q <= tol * tol and r <= tol * p:
+        pairs = [(p * p, l0)]
     else:
         s0 = r * (p - e * q) ** 2 / s2
         d = -(p * q + r * e) / s2 - t_l  # t_s - t_l

@@ -86,19 +86,21 @@ def _schur_terms(fm: FisherMatrix, target: Target) -> tuple[float, float]:
     shared by the bound and the overestimation: the second term is 0.0
     when f_pm is zero within tolerance; SingularComplement when only the
     complementary diagonal is; NonFiniteObjective when either term is not
-    finite. Where f_pm**2 overflows but the shift need not, the shift is
-    taken as f_pm * (f_pm / comp)."""
+    finite. The shift is formed at f_pm's binary exponent, where f_pm**2
+    cannot overflow or underflow; the scaling is exact, so the shift is
+    f_pm * f_pm / comp bit for bit wherever f_pm**2 is a normal float."""
     diag, comp, tol = _split(fm, target)
-    if abs(fm.f_pm) <= tol:
+    f_pm = fm.f_pm
+    if abs(f_pm) <= tol:
         shift = 0.0
     elif comp <= tol:
         raise SingularComplement(
-            f"complementary diagonal {comp} is ~0 while |f_pm|={abs(fm.f_pm)} > tol"
+            f"complementary diagonal {comp} is ~0 while |f_pm|={abs(f_pm)} > tol"
         )
     else:
-        shift = fm.f_pm * fm.f_pm / comp
-        if shift == math.inf:  # f_pm**2 overflows from |f_pm| ~ 1.3e154
-            shift = fm.f_pm * (fm.f_pm / comp)
+        power = math.ldexp(0.5, math.frexp(f_pm)[1])  # 1 <= |f_pm| / power < 2
+        f = f_pm / power
+        shift = f * f / (comp / power) * power
     if not (math.isfinite(diag) and math.isfinite(shift)):
         raise NonFiniteObjective(
             f"Schur terms diag={diag} and shift={shift} are not finite"

@@ -15,12 +15,17 @@ Every case runs in process through ``phasebound.cli.main``. The corpus is
   summation order can move the last ulp from one build to the next;
 - ``exits.txt``: the exit code and standard error of every command.
 
-A change that alters a golden file names the changed rows in CHANGES.md.
+After rewriting, the script prints every changed cell as file, row, column,
+old -> new (a CSV row is named by its swept value, a point's by "point"),
+and every other changed line; a change that alters the corpus lists these
+in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import difflib
 import io
 import json
 import re
@@ -64,6 +69,14 @@ _HUGE_SCANS = {
 }
 # also run as points at the start of their range
 _HUGE_POINTS = ("SU2-OneArm-huge", "SU2-TwoArmUnequal-huge")
+# two-parameter points where info_two once read above info_single: near the
+# vacuum |J| = 1 to rounding, and the shared-gamma solve took C = F
+_EDGE_POINTS = {
+    "SU11-TwoArmEqual-near-vacuum": ("SU11", "TwoArm", {
+        "alpha_photons": 8.179925709760638e-17, "squeeze_r": 0.0, "gain": 2.998904402431232,
+        "eta": 1e-9,
+    }),
+}
 
 
 def _document(interferometer: str, loss: str, estimation: str = "TwoParameter") -> dict:
@@ -103,6 +116,10 @@ def cases() -> list[tuple[str, str, dict]]:
         if name in _HUGE_POINTS:
             document["fixed"]["alpha_photons"] = span[0]
             out.append(("point", name, document))
+    for name, (interferometer, loss, fixed) in _EDGE_POINTS.items():
+        document = {"interferometer": interferometer, "estimation": "TwoParameter",
+                    "loss": loss, "fixed": fixed}
+        out.append(("point", name, document))
     for interferometer in _BASE:
         for loss in _LOSSES:
             document = _document(interferometer, loss)
@@ -171,16 +188,51 @@ def stored() -> dict[str, bytes]:
     return {p.relative_to(HERE).as_posix(): p.read_bytes() for p in paths if p.is_file()}
 
 
+def _rows(name: str, data: bytes) -> dict[str, dict[str, str]]:
+    """Row name -> column -> cell text of a scan CSV or a point record."""
+    if name.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(data.decode()))
+        return {row[0]: dict(zip(header, row)) for row in rows}
+    return {"point": {column: json.dumps(cell) for column, cell in json.loads(data).items()}}
+
+
+def changes(old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
+    """One line per changed cell of a scan or point file, and per changed
+    run of lines of any other file, added and removed files included."""
+    out = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new or name not in old:
+            out.append(f"{name}: {'removed' if name in old else 'added'}")
+        elif old[name] == new[name]:
+            continue
+        elif name.endswith((".csv", ".json")) and not name.endswith(".meta.json"):
+            was, now = _rows(name, old[name]), _rows(name, new[name])
+            for row in was | now:
+                before, after = was.get(row, {}), now.get(row, {})
+                out += [f"{name}, row {row}, {column}: {before.get(column, '(none)')} -> "
+                        f"{after.get(column, '(none)')}"
+                        for column in before | after if before.get(column) != after.get(column)]
+        else:
+            a, b = old[name].decode().splitlines(), new[name].decode().splitlines()
+            for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b).get_opcodes():
+                if tag != "equal":
+                    out.append(f"{name}, line {i1 + 1}: {a[i1:i2]} -> {b[j1:j2]}")
+    return out
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         files = render(Path(workdir))
-    for name in stored():
+    previous = stored()
+    for name in previous:
         (HERE / name).unlink()
     for name, data in files.items():
         path = HERE / name
         path.parent.mkdir(exist_ok=True)
         path.write_bytes(data)
     print(f"wrote {len(files)} files under {HERE}")
+    for line in changes(previous, files):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 import os
 
-from regenerate import render, stored
+from regenerate import changes, render, stored
 
 
 def _first_difference(want: bytes, got: bytes) -> str:
@@ -51,3 +51,28 @@ def test_golden_scans_match_through_forked_workers(tmp_path, monkeypatch):
     scans = [name for name in want if name.startswith("scan/") and name.endswith(".csv")]
     assert len(forks) == 2 * len(scans)
     _assert_matches(want, got)
+
+
+def test_changes_name_each_moved_cell_and_line():
+    old = {
+        "scan/a.csv": b"swept_value,info_two\n1.0,2.0\n3.0,4.0\n",
+        "point/a.json": b'{"info_two": 2.0, "error": ""}\n',
+        "exits.txt": b"scan/a: exit 0\n",
+        "point/gone.json": b"{}\n",
+    }
+    new = {
+        "scan/a.csv": b"swept_value,info_two\n1.0,2.5\n3.0,4.0\n5.0,6.0\n",
+        "point/a.json": b'{"info_two": 2.0, "error": "x"}\n',
+        "exits.txt": b"scan/a: exit 0\npoint/b: exit 0\n",
+        "point/b.json": b"{}\n",
+    }
+    assert changes(old, new) == [
+        "exits.txt, line 2: [] -> ['point/b: exit 0']",
+        'point/a.json, row point, error: "" -> "x"',
+        "point/b.json: added",
+        "point/gone.json: removed",
+        "scan/a.csv, row 1.0, info_two: 2.0 -> 2.5",
+        "scan/a.csv, row 5.0, swept_value: (none) -> 5.0",
+        "scan/a.csv, row 5.0, info_two: (none) -> 6.0",
+    ]
+    assert changes(old, old) == []

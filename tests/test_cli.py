@@ -263,12 +263,13 @@ def test_point_record_keys_follow_csv_columns(interferometer, loss):
 def _expected_line(spec, value):
     """A CSV line rebuilt from point_record by the documented rule: a float
     is its repr, None an empty cell, a gamma pair a;b, and an error row
-    keeps the swept value and the message (quoted when it holds a comma)."""
+    keeps the swept value and the message (quoted when it holds a comma, a
+    quote or a newline)."""
     try:
         row = point_record(spec, value)
     except (ConfigError, ValueError, PhaseboundError) as exc:
         message = f"{type(exc).__name__}: {exc}"
-        if "," in message:
+        if "," in message or '"' in message or "\n" in message:
             message = '"' + message.replace('"', '""') + '"'
         return ",".join([repr(value)] + [""] * (len(CSV_COLUMNS) - 2) + [message])
     cells = []
@@ -612,6 +613,49 @@ def test_run_scan_contains_row_errors(tmp_path):
     assert all(float(row["swept_value"]) > 1.0 for row in bad)
     assert all(row["info_two"] == "" for row in bad)
     assert all(row["info_two"] != "" for row in good)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.floats(-1e300, 1e300),
+    width=st.floats(1e-300, 1e300),
+    text=st.text().filter(lambda text: "\r" not in text),
+)
+def test_an_error_row_is_what_csv_writer_writes(start, width, text):
+    # an error row is formatted by the same f-string as the other rows, and
+    # its text is csv.writer's; no drawn message holds a carriage return,
+    # which csv.writer leaves unquoted on 3.11 under a "\n" line end
+    spec = ScanSpec("SU2", "TwoParameter", "None", {"alpha_photons": 1.0, "squeeze_r": 0.5},
+                    "splitter_ratio", start, start + width + abs(start), 2)
+    values = []
+
+    def fail(spec, fixed, value, single, repeats):
+        values.append(value)
+        raise ValueError(text)
+
+    with mock.patch.object(cli, "_row", fail):
+        written = cli._chunk(spec, 0)
+    expected = io.StringIO()
+    for value in values:
+        csv.writer(expected, lineterminator="\n").writerow(
+            (value, *[None] * (len(CSV_COLUMNS) - 2), f"ValueError: {text}"))
+    assert len(values) == 2 and written == expected.getvalue()
+
+
+# two-parameter points where info_two once read above info_single: near the
+# vacuum |J| = 1 to rounding, and the shared-gamma solve followed the rounding
+# to gamma = -1, where C = F (info_two 287.55325059963934 against 1.6e-08);
+# and subnormal moments, where f_pm**2 underflowed to 0 (info_two
+# 1.99358873483863e-310 against 1.9895712630359e-310)
+@pytest.mark.parametrize("interferometer, loss, fixed", [
+    ("SU11", "TwoArm", {"alpha_photons": 8.179925709760638e-17, "squeeze_r": 0.0,
+                        "gain": 2.998904402431232, "eta": 1e-9}),
+    ("SU2", "OneArm", {"alpha_photons": 1e-310, "squeeze_r": 1e-155, "splitter_ratio": 0.3,
+                       "eta": 0.6}),
+], ids=["SU11-TwoArm-near-vacuum", "SU2-OneArm-subnormal"])
+def test_point_info_two_stays_between_zero_and_info_single(interferometer, loss, fixed):
+    row = point_record(ScanSpec(interferometer, "TwoParameter", loss, fixed))
+    assert 0.0 <= row["info_two"] <= row["info_single"], row
 
 
 def _scan_peak_bytes(tmp_path, steps):

@@ -846,11 +846,11 @@ def test_importing_the_package_does_not_load_dataclasses(module, unwanted):
     )
 
 
-# every module `import phasebound.cli` may add to those `site` loads: 19 at
+# every module `import phasebound.cli` may add to those `site` loads: 17 at
 # the time of writing; a new one fails until it is listed here and named in
 # CHANGES.md, because each one lands in the start-up of every point and scan
 _CLI_IMPORTS = {
-    "__future__", "_csv", "_datetime", "_json", "argparse", "csv", "datetime", "gettext",
+    "__future__", "_datetime", "_json", "argparse", "datetime", "gettext",
     "json", "json.decoder", "json.encoder", "json.scanner",
     "phasebound", "phasebound.cli", "phasebound.errors", "phasebound.moments",
     "phasebound.optimizer", "phasebound.qfim_ideal", "phasebound.qfim_lossy",

@@ -41,10 +41,10 @@ _ETA = st.one_of(st.sampled_from([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0]), st.floats(0
 
 
 def _amplitude(top):
-    """0 or at least 1e-60, so the moments are 0 or above ~1e-120 and f_pm**2
-    stays in the normal range; below it the Schur shift underflows, the
-    known red at the end of this file."""
-    return st.just(0.0) | st.floats(1e-60, top)
+    """0 or at least 1e-150, so the moments are 0 or above ~1e-300 and stay
+    normal floats; the Schur shift is formed at f_pm's binary exponent, so
+    f_pm**2 does not underflow on the way."""
+    return st.just(0.0) | st.floats(1e-150, top)
 
 
 @st.composite
@@ -148,8 +148,7 @@ def test_bounds_are_ordered_below_the_lossless_diagonal(stats, eta, eta_b, targe
     # 0 <= Schur minimum <= least diagonal <= lossless diagonal (gamma = -1 gives C = F)
     ideal = qfim_matrix(stats)
     diagonal = ideal.f_pp if target is Target.PHASE_SUM else ideal.f_mm
-    # the shared-gamma family fails near |J| = 1: the known red below
-    for family in (SingleArm(eta), TwoArmIndependent(eta, eta_b)):
+    for family in _families(eta, eta_b):
         try:
             result = optimize_gamma(stats, family, target)
         except SingularComplement:
@@ -161,12 +160,10 @@ def test_bounds_are_ordered_below_the_lossless_diagonal(stats, eta, eta_b, targe
         assert result.single_minimum <= diagonal + slack, family
 
 
-# known red: near |J| = 1, S = w^T V w is constant in t up to rounding, and the
-# shared-gamma solve lands on gamma = -1, where C = F: the Schur bound reads
-# F_++ = 288 while the diagonal at another gamma is 6.7. SU11 TwoArm at equal
-# etas reaches it: alpha_photons 8.18e-17, squeeze_r 0, gain 2.9989, eta 1e-9
-# print info_two 287.6 and info_single 1.6e-8
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="shared gamma at |J| -> 1")
+# near |J| = 1, S = w^T V w is constant in t up to rounding: the shared-gamma
+# solve must treat it as constant, not follow the rounding of its slope to
+# gamma = -1, where C = F and the Schur bound would read F_++ = 288 against a
+# diagonal of 6.7 at another gamma
 def test_shared_gamma_order_near_perfect_correlation():
     stats = ModeStatistics(
         8.000000000000032, 8.000000000000028, 72.00000000000054, 72.00000000000048, 72.00000000000051
@@ -196,10 +193,9 @@ def test_swapping_the_arms_leaves_both_bounds(stats, eta, eta_b, target):
         assert abs(result.single_minimum - mirrored.single_minimum) <= slack, family
 
 
-# known red: with moments near 1e-199, f_pm**2 in the Schur shift underflows
-# to 0, so the one-arm bound at eta = 0 reads the whole diagonal var_b where it is
-# 0, above the least diagonal var_b - cov**2/var_a
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="f_pm**2 underflows below ~1e-154")
+# with moments near 1e-199, f_pm**2 underflows to 0: unless the Schur shift is
+# formed at f_pm's scale, the one-arm bound at eta = 0 reads the whole diagonal
+# var_b where it is 0, above the least diagonal var_b - cov**2/var_a
 def test_order_holds_where_f_pm_squared_underflows():
     stats = ModeStatistics(
         8.121922133081863e-200, 8.121922133081863e-200,
