@@ -3,10 +3,8 @@
 Every gamma gives a valid bound (Escher, de Matos Filho and Davidovich,
 Nat. Phys. 7, 406 (2011)), so the reportable number is the global minimum
 over gamma. Two minima are reported: the two-parameter (Schur) bound and
-the single-parameter one, the bare target diagonal. Each loss family gives
-both gammas in closed form from one solve, without a search; each bound is
-then read from C at its gamma, by the same kernel that reports it for any
-other gamma.
+the single-parameter one, the bare target diagonal. Each loss family finds
+both in closed form from one solve, without a search.
 
 The Schur bound diag - f_pm**2/comp of a PSD 2x2 C is min_t v^T C v with
 v = e_target + t e_other. With w = (1 + t, 1 - t) for the phase sum or
@@ -18,10 +16,11 @@ D = diag(eta_i <n_i>/(1 - eta_i)).
 Independent arms (one-arm loss is eta_b = 1): each gamma_i moves z_i
 freely, so the minimum is w^T M w with M = V (I + K V)^-1, K = D^-1: each
 variance combines in parallel with eta <n>/(1 - eta), Escher's single-mode
-result for correlated arms. The ideal kernel (``qfim_matrix``,
-``two_param_bound``) on M gives the least bound, and its diagonal the least
-single-parameter information. The argmins follow from t* = -F_pm/F_comp
-and t = 0 (the diagonal), z = (I + K V)^-1 w and
+result for correlated arms. Both bounds are read from M by the ideal
+kernel (``qfim_matrix``, ``two_param_bound``): its Schur bound is the least
+bound, even where a gamma runs to infinity, and its diagonal the least
+single-parameter information. C is built only at the argmin, which follows
+from t* = -F_pm/F_comp, z = (I + K V)^-1 w and
 gamma_i = (1 - z_i/w_i)/(1 - eta_i) - 1, computed without inverting V or D.
 A free gamma_i (eta_i = 1, or w_i = 0) is reported as 0; an arm without
 variance takes gamma_i = -1 (u_i = 1).
@@ -34,9 +33,9 @@ of the quintic (1 - eta) L'' (t - t_L) S**2 + S'' (t - t_S) L**2, negative
 below both vertices and positive above, so the minima lie between them,
 among the quintic's roots, isolated between those of its derivatives.
 Of these candidates the one with the least g gives
-gamma = S/((1 - eta) S + L) - 1; the matrix is built only there. The
-diagonal is the form at t = 0, so its gamma comes from S and L there, in
-the same solve.
+gamma = S/((1 - eta) S + L) - 1. The diagonal is the form at t = 0, so its
+gamma comes from S and L there, in the same solve; each bound is read from
+C at its gamma.
 """
 
 from __future__ import annotations
@@ -79,11 +78,11 @@ class OptimizationResult(NamedTuple):
     """Outcome of a gamma minimization. argmin, minimum, matrix and converged
     describe the two-parameter bound: argmin is one gamma, or a
     (gamma_a, gamma_b) pair for independent arms; matrix is C at argmin, the
-    one minimum was read from; converged is False only when that infimum is
-    approached as a gamma runs to infinity. evaluations is always 1 (one solve
-    per call), kept because the benchmark reads it. single_minimum is the least
-    target diagonal of C, the single-parameter information; it is always
-    attained."""
+    matrix reported with the bound; converged is False only when the infimum
+    is approached as a gamma runs to infinity, where minimum is still that
+    infimum. evaluations is always 1 (one solve per call), kept because the
+    benchmark reads it. single_minimum is the least target diagonal of C, the
+    single-parameter information; it is always attained."""
 
     argmin: Union[float, tuple[float, float]]
     minimum: float
@@ -105,10 +104,10 @@ def _loss_weights(eta: float, mean: float, var: float) -> tuple[float, float]:
 
 def _pair_argmin(
     stats: ModeStatistics, eta_a: float, eta_b: float, target: Target
-) -> tuple[list[tuple[float, float]], bool]:
-    """Closed-form (gamma_a, gamma_b) at t* and at t = 0, and False when the
-    infimum at t* needs a gamma_i at infinity (w_i = 0 but z_i != 0); at t = 0,
-    w = (1, +-1) never vanishes. Works in standard units sd_i z_i, where V is
+) -> tuple[tuple[float, float], bool, FisherMatrix]:
+    """The closed-form (gamma_a, gamma_b) at t*, False when the infimum needs a
+    gamma_i at infinity (w_i = 0 but z_i != 0), and the ideal matrix of M, from
+    which both bounds are read. Works in standard units sd_i z_i, where V is
     the correlation matrix, so arms of any relative size keep precision."""
     sd_a, sd_b = math.sqrt(stats.var_a) or 1.0, math.sqrt(stats.var_b) or 1.0
     r_a, r_b = float(stats.var_a > 0.0), float(stats.var_b > 0.0)
@@ -118,35 +117,32 @@ def _pair_argmin(
     s = max(r_a * r_b - j * j, 0.0)
     # det = 0 only with no loss term on either arm and |J| = 1: then M = 0 and z = 0
     det = b_a * b_b * s + a_a * b_b * r_b + a_b * b_a * r_a + a_a * a_b or math.inf
-    m = (
+    m = (  # V bit for bit where neither arm keeps a loss term: then det = 1
         a_a * (b_b * s + a_b * r_a) * stats.var_a / det,
         a_b * (b_a * s + a_a * r_b) * stats.var_b / det,
-        a_a * a_b * j * sd_a * sd_b / det,
+        a_a * a_b * stats.cov / det,
     )
     fm = qfim_matrix((*stats[:2], *m))
     _, comp, tol = _split(fm, target)
     # 0 where the Schur kernel treats f_pm as zero, as two_param_bound does
-    t_star = -fm.f_pm / comp if comp > 0.0 and abs(fm.f_pm) > tol else 0.0
-    pairs, attained = [], True
-    for t in (t_star, 0.0):
-        w_a, w_b = 1.0 + t, (1.0 - t if target is _SUM else t - 1.0)
-        v_a, v_b = sd_a * w_a, sd_b * w_b  # w in standard units
-        y_a = ((b_b * r_b + a_b) * a_a * v_a - b_a * j * a_b * v_b) / det
-        y_b = ((b_a * r_a + a_a) * a_b * v_b - b_b * j * a_a * v_a) / det
-        gammas = []
-        for y, v, sd, b, eta in ((y_a, v_a, sd_a, b_a, eta_a), (y_b, v_b, sd_b, b_b, eta_b)):
-            if b == 0.0:  # pinned at u_i = 1, where gamma_i = -1 unless eta_i = 1
-                gammas.append(_FREE_GAMMA if eta == 1.0 else -1.0)
-            elif v == 0.0:  # z_i = y/sd is linear in w and dimensionless: compare it with w
-                attained = attained and abs(y / sd) <= 1e-9 * (abs(w_a) + abs(w_b))
-                gammas.append(_FREE_GAMMA)
-            else:
-                gammas.append((1.0 - y / v) / (1.0 - eta) - 1.0)
-        # the matrix path squares gamma; written so that a NaN is refused too
-        if not (abs(gammas[0]) < 1e150 and abs(gammas[1]) < 1e150):
-            raise NonFiniteObjective(f"optimal gamma {gammas} is out of float range")
-        pairs.append((gammas[0], gammas[1]))
-    return pairs, attained
+    t = -fm.f_pm / comp if comp > 0.0 and abs(fm.f_pm) > tol else 0.0
+    w_a, w_b = 1.0 + t, (1.0 - t if target is _SUM else t - 1.0)
+    v_a, v_b = sd_a * w_a, sd_b * w_b  # w in standard units
+    y_a = ((b_b * r_b + a_b) * a_a * v_a - b_a * j * a_b * v_b) / det
+    y_b = ((b_a * r_a + a_a) * a_b * v_b - b_b * j * a_a * v_a) / det
+    gammas, attained = [], True
+    for y, v, sd, b, eta in ((y_a, v_a, sd_a, b_a, eta_a), (y_b, v_b, sd_b, b_b, eta_b)):
+        if b == 0.0:  # pinned at u_i = 1, where gamma_i = -1 unless eta_i = 1
+            gammas.append(_FREE_GAMMA if eta == 1.0 else -1.0)
+        elif v == 0.0:  # z_i = y/sd is linear in w and dimensionless: compare it with w
+            attained = attained and abs(y / sd) <= 1e-9 * (abs(w_a) + abs(w_b))
+            gammas.append(_FREE_GAMMA)
+        else:
+            gammas.append((1.0 - y / v) / (1.0 - eta) - 1.0)
+    # the matrix path squares gamma; written so that a NaN is refused too
+    if not (abs(gammas[0]) < 1e150 and abs(gammas[1]) < 1e150):
+        raise NonFiniteObjective(f"optimal gamma {gammas} is out of float range")
+    return (gammas[0], gammas[1]), attained, fm
 
 
 def _horner(p: list[float], x: float) -> float:
@@ -255,18 +251,20 @@ def optimize_gamma(
     """
     if isinstance(loss_family, TwoArmSymmetric):
         eta, attained = loss_family.eta, True
-        gammas = _shared_gamma(stats, eta, target)
-        losses = [(eta, eta, g, g) for g in gammas]
+        argmin, single_gamma = _shared_gamma(stats, eta, target)
+        matrix = c_matrix_two(stats, (eta, eta, argmin, argmin))
+        minimum = two_param_bound(matrix, target)  # raises where the kernel does
+        single = _split(c_matrix_two(stats, (eta, eta, single_gamma, single_gamma)), target)[0]
+        if not math.isfinite(single):
+            raise NonFiniteObjective(f"diagonal {single} at gamma {single_gamma} is not finite")
     elif isinstance(loss_family, (SingleArm, TwoArmIndependent)):
         one_arm = isinstance(loss_family, SingleArm)
         etas = (loss_family.eta, 1.0) if one_arm else loss_family  # one arm: b is lossless
-        pairs, attained = _pair_argmin(stats, *etas, target)
-        losses = [(*etas, *g) for g in pairs]
-        gammas = [g for g, _ in pairs] if one_arm else pairs
+        pair, attained, fm = _pair_argmin(stats, *etas, target)
+        argmin = pair[0] if one_arm else pair
+        matrix = c_matrix_two(stats, (*etas, *pair))
+        # raises where the kernel does, a diagonal that is not finite included
+        minimum, single = two_param_bound(fm, target), _split(fm, target)[0]
     else:
         raise TypeError(f"unknown loss family: {loss_family!r}")
-    matrix = c_matrix_two(stats, losses[0])
-    minimum = two_param_bound(matrix, target)  # raises where the kernel does
-    if not math.isfinite(single := _split(c_matrix_two(stats, losses[1]), target)[0]):
-        raise NonFiniteObjective(f"diagonal {single} at gamma {gammas[1]} is not finite")
-    return OptimizationResult(gammas[0], minimum, 1, attained, matrix, single)
+    return OptimizationResult(argmin, minimum, 1, attained, matrix, single)

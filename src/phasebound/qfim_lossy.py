@@ -10,9 +10,9 @@ loss and the analytic optimal gamma where one exists (single-arm).
 C is the ideal matrix (``qfim_matrix``) of the moments the arms keep:
 each variance becomes u_i**2 var_i + L_i and the covariance u_a u_b cov,
 with u_i = 1 - (gamma_i + 1)(1 - eta_i) and the loss term
-L_i = (gamma_i + 1)**2 (1 - eta_i) eta_i <n_i>. Production bounds read C
-through ``two_param_bound``; the long closed forms for the optimum and its
-limits are kept in the test suite as independent oracles.
+L_i = (gamma_i + 1)**2 (1 - eta_i) eta_i <n_i>. The optimizer reports C at its
+argmin; the long closed forms for the optimum and its limits are kept in the
+test suite as independent oracles.
 """
 
 from __future__ import annotations

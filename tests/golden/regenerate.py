@@ -18,7 +18,10 @@ Every case runs in process through ``phasebound.cli.main``. The corpus is
 After rewriting, the script prints every changed cell as file, row, column,
 old -> new (a CSV row is named by its swept value, a point's by "point"),
 and every other changed line; a change that alters the corpus lists these
-in CHANGES.md.
+in CHANGES.md. Then, for each changed info_single and info_two cell of a lossy
+row, it prints the cell's distance in ulps from the exact least bound over a
+gamma per arm (``tests/exact.py``) before and after, each computed from the
+row's own printed moments and its case's etas.
 """
 
 from __future__ import annotations
@@ -220,6 +223,57 @@ def changes(old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
     return out
 
 
+_MOMENTS = ("mean_a", "mean_b", "var_a", "var_b", "cov")
+_INFO = ("info_single", "info_two")
+
+
+def lossy_cells(files: dict[str, bytes]) -> dict[tuple[str, str, str], tuple]:
+    """(file, row, column) -> (cell, shared, exact) for every info_single and
+    info_two cell of a lossy scan or point row that has them: shared is True
+    where TwoArm takes one gamma (eta_b == eta), and exact is the least bound
+    over a gamma per arm as a Fraction, from the row's printed moments."""
+    # imported here, so that running the script can put tests/ on the path first
+    from exact import exact_bounds
+    from phasebound import Target
+
+    out = {}
+    for kind, name, document in cases():
+        path = f"{kind}/{name}.csv" if kind == "scan" else f"{kind}/{name}.json"
+        if kind == "oracle" or document["loss"] == "None" or path not in files:
+            continue
+        sum_target = document["interferometer"] == "SU11"
+        target = Target.PHASE_SUM if sum_target else Target.PHASE_DIFFERENCE
+        for row, cells in _rows(path, files[path]).items():
+            if cells["info_two"] in ("", "null"):
+                continue  # an error row
+            fixed = dict(document["fixed"])
+            if "swept_variable" in document:
+                fixed[document["swept_variable"]] = float(row)
+            eta = fixed["eta"]
+            eta_b = 1.0 if document["loss"] == "OneArm" else fixed.get("eta_b", eta)
+            shared = document["loss"] == "TwoArm" and eta_b == eta
+            exact = exact_bounds([float(cells[m]) for m in _MOMENTS], eta, eta_b, target)
+            for column, value in zip(_INFO, exact):
+                out[path, row, column] = (float(cells[column]), shared, value)
+    return out
+
+
+def ulp_moves(old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
+    """One line per lossy info cell whose value changed: its error in ulps of
+    the exact value, before -> after."""
+    from exact import ulps
+
+    was, now = lossy_cells(old), lossy_cells(new)
+    lines = []
+    for key, (value, _, exact) in sorted(now.items()):
+        if key in was and was[key][0] != value:
+            before, _, before_exact = was[key]
+            path, row, column = key
+            lines.append(f"{path}, row {row}, {column}: "
+                         f"{ulps(before, before_exact):.2f} -> {ulps(value, exact):.2f} ulps")
+    return lines
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         files = render(Path(workdir))
@@ -231,10 +285,10 @@ def main() -> None:
         path.parent.mkdir(exist_ok=True)
         path.write_bytes(data)
     print(f"wrote {len(files)} files under {HERE}")
-    for line in changes(previous, files):
+    for line in changes(previous, files) + ulp_moves(previous, files):
         print(line)
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(HERE.parents[1] / "src"))
+    sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
     main()

@@ -2,7 +2,9 @@
 
 import os
 
-from regenerate import changes, render, stored
+import pytest
+from exact import ulps
+from regenerate import changes, lossy_cells, render, stored, ulp_moves
 
 
 def _first_difference(want: bytes, got: bytes) -> str:
@@ -76,3 +78,43 @@ def test_changes_name_each_moved_cell_and_line():
         "scan/a.csv, row 5.0, info_two: (none) -> 6.0",
     ]
     assert changes(old, old) == []
+
+
+# each printed bound may be this far from the exact least bound over a gamma
+# per arm, in ulps of the exact value
+_EXACT_ULPS = 4
+
+
+def _errors(shared: bool) -> dict:
+    """(file, row, column) -> ulps from exact of the corpus's lossy info cells,
+    those of TwoArm rows with one shared gamma or those with a gamma per arm."""
+    cells = lossy_cells(stored())
+    return {key: ulps(value, exact) for key, (value, is_shared, exact) in cells.items()
+            if is_shared == shared}
+
+
+def test_per_arm_bounds_are_exact_to_a_few_ulps():
+    # 46 rows of OneArm and unequal-eta TwoArm, two cells each
+    errors = _errors(shared=False)
+    assert len(errors) == 92
+    assert {key: error for key, error in errors.items() if error > _EXACT_ULPS} == {}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: TwoArm shares one gamma where eta_b == eta")
+def test_shared_gamma_bounds_are_the_per_arm_infimum():
+    errors = _errors(shared=True)
+    assert len(errors) == 66
+    assert {key: error for key, error in errors.items() if error > _EXACT_ULPS} == {}
+
+
+def test_ulp_moves_name_each_moved_bound_with_its_error():
+    old = stored()
+    name = "point/SU11-OneArm-TwoParameter.json"
+    new = {**old, name: old[name].replace(b'"info_two": 19.', b'"info_two": 18.')}
+    assert new[name] != old[name]
+    (line,) = ulp_moves(old, new)
+    before, after = (float(x) for x in line.split(": ")[1].split(" ulps")[0].split(" -> "))
+    assert line.startswith(f"{name}, row point, info_two: ")
+    assert before <= _EXACT_ULPS < after
+    assert ulp_moves(old, old) == []

@@ -40,9 +40,10 @@ from phasebound import (
     qfim_matrix,
     two_param_bound,
 )
+from exact import exact_bounds, ulps
 from phasebound.cli import Interferometer, LossKind, ScanSpec
 from phasebound.fock_oracle import TruncatedState
-from phasebound.optimizer import _pair_argmin, _shared_gamma
+from phasebound.optimizer import _shared_gamma
 from phasebound.qfim_lossy import (
     SingleArmLoss,
     TwoArmLoss,
@@ -56,12 +57,14 @@ SU11_STATS = nbs_moments(InterferometerInput(2.0, 0.5, SplitterSpec.nbs(1.2)))
 
 
 def _single_gamma(stats, family, target):
-    """The t = 0 gamma, at which optimize_gamma reads single_minimum."""
-    if isinstance(family, TwoArmSymmetric):
-        return _shared_gamma(stats, family.eta, target)[1]
-    if isinstance(family, SingleArm):
-        return _pair_argmin(stats, family.eta, 1.0, target)[0][1][0]
-    return _pair_argmin(stats, *family, target)[0][1]
+    """The t = 0 gamma, at which optimize_gamma reads the shared-gamma family's
+    single_minimum; the per-arm families read it from M and form no such gamma."""
+    return _shared_gamma(stats, family.eta, target)[1]
+
+
+def _etas(family):
+    """(eta_a, eta_b) of a per-arm family; one-arm loss leaves arm b lossless."""
+    return (family.eta, 1.0) if isinstance(family, SingleArm) else tuple(family)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +244,13 @@ def test_single_arm_lossless_is_flat_and_ideal():
 
 
 def test_single_arm_result_reproduces_matrix_value():
+    # the bound is read from M, and C at the argmin reads the same value to rounding
     result = optimize_gamma(SU11_STATS, SingleArm(0.4), Target.PHASE_SUM)
-    direct = two_param_bound(
-        c_matrix_single(SU11_STATS, SingleArmLoss(0.4, result.argmin)), Target.PHASE_SUM
-    )
-    assert result.minimum == direct
+    matrix = c_matrix_single(SU11_STATS, SingleArmLoss(0.4, result.argmin))
+    assert result.matrix == matrix
+    direct = two_param_bound(matrix, Target.PHASE_SUM)
+    assert abs(result.minimum - direct) <= 4 * math.ulp(direct)
+    assert ulps(result.minimum, exact_bounds(SU11_STATS, 0.4, 1.0, Target.PHASE_SUM)[1]) <= 4
 
 
 def test_single_param_mode_minimizes_the_diagonal():
@@ -336,9 +341,17 @@ def test_result_matrix_is_c_at_the_argmin(family, matrix_at):
     expected = matrix_at(result.argmin)
     for field in ("f_pp", "f_mm", "f_pm"):
         assert getattr(result.matrix, field) == getattr(expected, field), field
-    assert result.minimum == two_param_bound(result.matrix, Target.PHASE_SUM)
-    single_gamma = _single_gamma(SU11_STATS, family, Target.PHASE_SUM)
-    assert result.single_minimum == matrix_at(single_gamma).f_pp
+    direct = two_param_bound(result.matrix, Target.PHASE_SUM)
+    if isinstance(family, TwoArmSymmetric):
+        assert result.minimum == direct
+        single_gamma = _single_gamma(SU11_STATS, family, Target.PHASE_SUM)
+        assert result.single_minimum == matrix_at(single_gamma).f_pp
+        return
+    # the per-arm bounds are read from M: exact to a few ulps, and C at the
+    # argmin gives the same Schur bound up to its own rounding
+    single, two = exact_bounds(SU11_STATS, *_etas(family), Target.PHASE_SUM)
+    assert ulps(result.minimum, two) <= 4 and ulps(result.single_minimum, single) <= 4
+    assert result.minimum <= direct + 4 * math.ulp(direct)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +559,7 @@ def test_lossless_families_are_the_ideal_bound():
         assert result.minimum == two_param_bound(fm, Target.PHASE_SUM)
         assert result.single_minimum == fm.f_pp
         assert result.argmin in (0.0, (0.0, 0.0))  # gamma does not enter
-        assert _single_gamma(SU11_STATS, family, Target.PHASE_SUM) in (0.0, (0.0, 0.0))
+    assert _single_gamma(SU11_STATS, TwoArmSymmetric(1.0), Target.PHASE_SUM) == 0.0
 
 
 def test_opaque_arm_leaves_no_phase_sum_information():
@@ -587,7 +600,7 @@ def test_perfect_correlation_without_loss_terms(target):
         assert result.minimum == pytest.approx(0.0, abs=1e-12)
         assert result.single_minimum == pytest.approx(0.0, abs=1e-12)
         assert result.argmin in (0.0, (0.0, 0.0))
-        assert _single_gamma(stats, family, target) in (0.0, (0.0, 0.0))
+    assert _single_gamma(stats, TwoArmSymmetric(0.0), target) == 0.0
 
 
 def test_argmin_out_of_float_range_is_an_error():
@@ -598,17 +611,18 @@ def test_argmin_out_of_float_range_is_an_error():
         optimize_gamma(stats, TwoArmIndependent(1.0, 0.0), Target.PHASE_DIFFERENCE)
 
 
-def test_subnormal_variance_reaches_the_range_check():
+def test_subnormal_variance_gives_finite_ordered_bounds():
     # var_a 5.9e-318 keeps few bits, so the effective covariance built from it
-    # overshoots Cauchy-Schwarz by rounding; M is not checked, and the solve
-    # reaches the real obstacle, a gamma out of float range
+    # overshoots Cauchy-Schwarz by rounding; M is not checked, and both bounds
+    # are read from it: the gamma at t = 0, out of float range, is never formed
     stats = ModeStatistics(
         1.046419e-317, 0.37290017776011286, 5.855305e-318, 1.0, 2.4197738255029106e-159
     )
     for family in (SingleArm(0.3), TwoArmIndependent(0.3, 0.5)):
         for target in Target:
-            with pytest.raises(NonFiniteObjective, match="out of float range"):
-                optimize_gamma(stats, family, target)
+            result = optimize_gamma(stats, family, target)
+            assert result.converged
+            assert 0.0 <= result.minimum <= result.single_minimum < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +701,23 @@ def test_reported_minimum_is_global(data, interferometer):
             continue
         assert result.converged
         found = {}  # single -> (minimum, rounding)
-        for single, minimum, argmin in (
-            (False, result.minimum, result.argmin),
-            (True, result.single_minimum, _single_gamma(stats, family, target)),
-        ):
-            value, rounding = _bound_at(stats, family, target, single, argmin)
-            assert minimum == value
-            found[single] = results[single][type(family)] = (minimum, rounding)
+        value, rounding = _bound_at(stats, family, target, False, result.argmin)
+        if isinstance(family, TwoArmSymmetric):
+            # both bounds are read from C, each at its gamma
+            assert result.minimum == value
+            single_gamma = _single_gamma(stats, family, target)
+            single, single_rounding = _bound_at(stats, family, target, True, single_gamma)
+            assert result.single_minimum == single
+        else:
+            # both bounds are read from M: C at the argmin gives a Schur bound no
+            # lower, and the diagonal is the exact least one, each up to rounding
+            assert result.minimum <= value + rounding
+            ideal = qfim_matrix(stats)
+            single_rounding = 1e-13 * max(ideal.f_pp, ideal.f_mm)
+            exact = exact_bounds(stats, *_etas(family), target)[0]
+            assert abs(result.single_minimum - exact) <= single_rounding
+        found[False] = results[False][type(family)] = (result.minimum, rounding)
+        found[True] = results[True][type(family)] = (result.single_minimum, single_rounding)
         # the overestimation is never negative at the optimum: where f_pm
         # vanishes the two are equal in exact arithmetic and differ by rounding
         (two, two_rounding), (one, one_rounding) = found[False], found[True]
@@ -820,8 +844,7 @@ def test_off_diagonal_under_the_kernel_threshold_is_not_divided():
     )
     result = optimize_gamma(stats, SingleArm(0.0625), Target.PHASE_SUM)
     assert result.converged
-    assert result.argmin == _single_gamma(stats, SingleArm(0.0625), Target.PHASE_SUM)
-    assert result.minimum <= result.single_minimum
+    assert result.minimum == result.single_minimum  # t* = 0: the Schur bound is the diagonal
 
 
 def _run_without_install(code: str) -> None:
