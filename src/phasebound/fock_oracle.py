@@ -23,8 +23,9 @@ generators are exactly Hermitian, so their exponentials conserve norm
 even when the physical state has outgrown the grid (population
 reflects off the cutoff instead of leaking). Norm deficit therefore
 cannot detect an inadequate grid for the amplifying splitter; instead
-the amplifier is applied on an enlarged working grid and accepted only
-when the outermost shell of that grid carries negligible mass.
+the amplifier is applied on a working grid, first the input's own and then
+larger ones, and accepted only when the outermost shell of that grid
+carries negligible mass.
 """
 
 from __future__ import annotations
@@ -203,18 +204,18 @@ def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedSt
     θR below 1e-18.
 
     The passive splitter acts on the state's own grid and must conserve
-    norm to 1e-12. The amplifier acts on an enlarged working grid, of
-    cutoff max(2 x cutoff, 64) and then 1.5x + 8 at a time up to 320, and
-    is accepted only when the outer 4-row/4-column shell holds at most
+    norm to 1e-12. The amplifier acts on a working grid that starts at the
+    input's own cutoff (at least 1) and grows 1.5x + 8 at a time up to 320,
+    and is accepted only when the outer 4-row/4-column shell holds at most
     1e-9 of the probability and the norm deficit stays within 1e-8; the
     returned state lives on the working grid so no amplified population
-    is discarded. A first grid above 320 is the only one tried.
+    is discarded. An input above 320 is tried on its own grid only.
 
     Raises
     ------
     CutoffTooSmall
         If norm drifts on the passive path, or on the amplifying path the
-        last working grid tried (320, or the first if larger) fails.
+        last working grid tried (320, or the input's own if larger) fails.
     """
     if splitter.kind is SplitterKind.LBS:
         angle = math.acos(math.sqrt(splitter.value))
@@ -227,7 +228,7 @@ def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedSt
             )
         return TruncatedState(out)
     angle = float(np.arccosh(splitter.value))
-    work = max(2 * state.cutoff, 64)
+    work = max(state.cutoff, 1)  # a 1 x 1 grid has R = 0 and no series
     while True:
         out = _evolve(state.amplitudes, SplitterKind.NBS, angle, work + 1)
         prob = np.abs(out)
@@ -241,6 +242,7 @@ def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedSt
                 f"amplifier outgrew the working grid {work}, the last one tried "
                 f"(gain {splitter.value}, input cutoff {state.cutoff})"
             )
+        del out, prob  # the refused grid is not kept while the next one evolves
         work = min(int(work * 1.5) + 8, _MAX_WORK)
 
 

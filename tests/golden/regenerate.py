@@ -130,6 +130,11 @@ def cases() -> list[tuple[str, str, dict]]:
             if loss != "None":
                 document["fixed"]["gamma"] = -0.25
             out.append(("oracle", f"{interferometer}-{loss}", {**document, "cutoff": 32}))
+    # the base input at a gain its own grid cannot hold: the amplifier climbs a
+    # ladder of working grids before it accepts one
+    climb = {**_document("SU11", "OneArm"), "cutoff": 32}
+    climb["fixed"] = {**climb["fixed"], "gain": 2.0, "gamma": -0.25}
+    out.append(("oracle", "SU11-OneArm-gain-2", climb))
     # a grid too small for the input state: the check refuses with exit 3
     refused = {**_document("SU2", "None"), "cutoff": 32}
     refused["fixed"] = {**refused["fixed"], "alpha_photons": 25.0}

@@ -130,7 +130,7 @@ def test_transparent_lbs_is_identity():
 def test_unit_gain_nbs_is_identity():
     state = prepare_input(1.0, 0.3, 32)
     out = apply_splitter(state, SplitterSpec.nbs(1.0))
-    # returned on the enlarged working grid; content must be unchanged
+    # returned on a working grid at least the input's own; content must be unchanged
     assert out.cutoff >= state.cutoff
     inner = out.amplitudes[: state.cutoff + 1, : state.cutoff + 1]
     assert np.allclose(inner, state.amplitudes, atol=1e-12)
@@ -157,36 +157,100 @@ def test_nbs_moments_match_closed_forms():
         assert _rel(getattr(found, field), getattr(expected, field), scale) <= 1e-6
 
 
-# input cutoff 120 tries the working grids 240 and then the cap 320; 170
-# starts above the cap, at 340, and that grid is the only one it tries
-@pytest.mark.parametrize("cutoff, last", [(120, 320), (170, 340)])
-def test_nbs_refuses_when_grid_tops_out(cutoff, last):
+def _record_grids(monkeypatch):
+    """The working grid sizes d of every _evolve call, in order."""
+    grids, evolve = [], fock_oracle._evolve
+
+    def recording(amplitudes, kind, angle, d=0):
+        grids.append(d or amplitudes.shape[0])
+        return evolve(amplitudes, kind, angle, d)
+
+    monkeypatch.setattr(fock_oracle, "_evolve", recording)
+    return grids
+
+
+# the ladder starts on the input's own grid and grows 1.5x + 8 up to the cap
+# 320; an input above the cap is tried on its own grid only
+@pytest.mark.parametrize(
+    "cutoff, ladder",
+    [
+        pytest.param(cutoff, ladder, id=f"{cutoff}-{ladder[-1]}")
+        for cutoff, ladder in [(120, [120, 188, 290, 320]), (170, [170, 263, 320]), (340, [340])]
+    ],
+)
+def test_nbs_refuses_when_grid_tops_out(cutoff, ladder, monkeypatch):
     # bright input plus strong gain outgrows the last working grid tried
     state = prepare_input(5.0, 1.2, cutoff)
+    grids = _record_grids(monkeypatch)
     with pytest.raises(CutoffTooSmall) as exc:
         apply_splitter(state, SplitterSpec.nbs(2.5))
+    assert grids == [work + 1 for work in ladder]
     assert str(exc.value) == (
-        f"amplifier outgrew the working grid {last}, the last one tried "
+        f"amplifier outgrew the working grid {ladder[-1]}, the last one tried "
         f"(gain 2.5, input cutoff {cutoff})"
     )
 
 
-def test_nbs_first_grid_is_twice_the_cutoff_even_above_the_cap():
-    out = apply_splitter(prepare_input(1.0, 0.3, 170), SplitterSpec.nbs(1.2))
-    assert out.cutoff == 340
+@pytest.mark.parametrize("cutoff", [170, 340])
+def test_nbs_first_grid_is_the_inputs_own_even_above_the_cap(cutoff, monkeypatch):
+    grids = _record_grids(monkeypatch)
+    out = apply_splitter(prepare_input(1.0, 0.3, cutoff), SplitterSpec.nbs(1.2))
+    assert grids == [cutoff + 1]
+    assert out.cutoff == cutoff
 
 
-def test_amplifier_peak_memory_is_a_few_grids():
-    # the 257-wide working grid's complex result is 1.06 MB; evolving the
-    # whole grid at once (six float grids and a padded copy) peaked at 6.5 MB
-    state = prepare_input(1.7, 0.4, 128)
+# the corners of the benchmark's oracle-check ranges (perfbench/configs.py:
+# alpha_photons 0.2-3, squeeze_r 0.05-0.5, gain 1.02-1.3) at the cutoffs the
+# check evolves, 64 and its doubling 128; each fits its own grid but the
+# brightest, most squeezed, highest-gain one at 64, which climbs one rung
+@pytest.mark.parametrize("cutoff", [64, 128])
+@pytest.mark.parametrize("photons, r, g", itertools.product((0.2, 3.0), (0.05, 0.5), (1.02, 1.3)))
+def test_nbs_evolves_benchmark_inputs_on_their_own_grid(cutoff, photons, r, g, monkeypatch):
+    state = prepare_input(math.sqrt(photons), r, cutoff)
+    grids = _record_grids(monkeypatch)
+    out = apply_splitter(state, SplitterSpec.nbs(g))
+    if (cutoff, photons, r, g) == (64, 3.0, 0.5, 1.3):
+        assert grids == [65, 105] and out.cutoff == 104
+    else:
+        assert grids == [cutoff + 1] and out.cutoff == state.cutoff
+    found = measure_moments(out)
+    expected = nbs_moments(InterferometerInput(math.sqrt(photons), r, SplitterSpec.nbs(g)))
+    scale = max(expected.var_a, expected.var_b, 1.0)
+    for field in ("mean_a", "mean_b", "var_a", "var_b", "cov"):
+        assert _rel(getattr(found, field), getattr(expected, field), scale) <= 1e-6
+
+
+# a 1 x 1 grid (cutoff 0) has Gershgorin radius 0 and no Chebyshev series of
+# its own; its ladder starts at 1, as the cutoff-1 grid's does: 1, 9, 21, 39
+@pytest.mark.parametrize("cutoff", [0, 1])
+def test_nbs_amplifies_the_smallest_vacuum(cutoff, monkeypatch):
+    amplitudes = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    amplitudes[0, 0] = 1.0
+    grids = _record_grids(monkeypatch)
+    out = apply_splitter(TruncatedState(amplitudes), SplitterSpec.nbs(1.2))
+    assert grids == [2, 10, 22, 40]
+    assert out.cutoff == 39
+    found = measure_moments(out)
+    expected = nbs_moments(InterferometerInput(0.0, 0.0, SplitterSpec.nbs(1.2)))
+    for field in ("mean_a", "mean_b", "var_a", "var_b", "cov"):
+        assert _rel(getattr(found, field), getattr(expected, field), 1.0) <= 1e-12
+
+
+def test_amplifier_peak_memory_is_a_few_grids(monkeypatch):
+    # the ladder refuses the input's own 171-wide grid and accepts the next,
+    # 264 wide, whose complex result is 1.12 MB; keeping the refused grid's
+    # arrays while the next evolved peaked at 3.4 MB, and evolving the whole
+    # 257-wide grid at once (six float grids and a padded copy) at 6.5 MB
+    state = prepare_input(1.7, 0.4, 170)
+    grids = _record_grids(monkeypatch)
     tracemalloc.start()
     try:
-        out = apply_splitter(state, SplitterSpec.nbs(1.22))
+        out = apply_splitter(state, SplitterSpec.nbs(2.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.cutoff == 256
+    assert grids == [171, 264]
+    assert out.cutoff == 263
     assert peak <= 3.0e6
 
 
