@@ -21,11 +21,10 @@ used. Kept out of production paths; the test suite and the
 A truncation subtlety drives the cutoff policy: the truncated splitter
 generators are exactly Hermitian, so their exponentials conserve norm
 even when the physical state has outgrown the grid (population
-reflects off the cutoff instead of leaking). Norm deficit therefore
-cannot detect an inadequate grid for the amplifying splitter; instead
-the amplifier is applied on a working grid, first the input's own and then
-larger ones, and accepted only when the outermost shell of that grid
-carries negligible mass.
+reflects off the cutoff instead of leaking). Norm therefore cannot detect
+an inadequate grid for either splitter; instead each is applied on a
+working grid, first the input's own and then larger ones, and accepted
+only when the outermost shell of that grid carries negligible mass.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ from .qfim_ideal import FisherMatrix
 from .qfim_lossy import SingleArmLoss, TwoArmLoss
 
 _PREPARE_DEFICIT = 1e-10
-_LBS_NORM_DRIFT = 1e-12
-_NBS_DEFICIT = 1e-8
+_NORM_DRIFT = 1e-12
 _SHELL_MASS = 1e-9
 _SHELL_WIDTH = 4
 _MAX_WORK = 320
@@ -203,44 +201,35 @@ def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedSt
     spectrum and Bessel coefficients J_k(θR) up to the first order past
     θR below 1e-18.
 
-    The passive splitter acts on the state's own grid and must conserve
-    norm to 1e-12. The amplifier acts on a working grid that starts at the
-    input's own cutoff (at least 1) and grows 1.5x + 8 at a time up to 320,
-    and is accepted only when the outer 4-row/4-column shell holds at most
-    1e-9 of the probability and the norm deficit stays within 1e-8; the
-    returned state lives on the working grid so no amplified population
-    is discarded. An input above 320 is tried on its own grid only.
+    Both splitters act on a working grid that starts at the input's own
+    cutoff (at least 1) and grows 1.5x + 8 at a time up to 320, and are
+    accepted only when the outer 4-row/4-column shell holds at most 1e-9
+    of the probability and the squared norm moves by at most 1e-12; the
+    returned state lives on the working grid so no population is
+    discarded. An input above 320 is tried on its own grid only.
 
     Raises
     ------
     CutoffTooSmall
-        If norm drifts on the passive path, or on the amplifying path the
-        last working grid tried (320, or the input's own if larger) fails.
+        If the last working grid tried (320, or the input's own if
+        larger) fails.
     """
-    if splitter.kind is SplitterKind.LBS:
-        angle = math.acos(math.sqrt(splitter.value))
-        before = 1.0 - state.norm_deficit
-        out = _evolve(state.amplitudes, SplitterKind.LBS, angle)
-        after = float(np.sum(np.abs(out) ** 2))
-        if abs(after - before) > _LBS_NORM_DRIFT:
-            raise CutoffTooSmall(
-                f"passive splitter norm drift {abs(after - before):.3e}"
-            )
-        return TruncatedState(out)
-    angle = float(np.arccosh(splitter.value))
+    lbs = splitter.kind is SplitterKind.LBS
+    angle = math.acos(math.sqrt(splitter.value)) if lbs else float(np.arccosh(splitter.value))
+    before = 1.0 - state.norm_deficit
     work = max(state.cutoff, 1)  # a 1 x 1 grid has R = 0 and no series
     while True:
-        out = _evolve(state.amplitudes, SplitterKind.NBS, angle, work + 1)
+        out = _evolve(state.amplitudes, splitter.kind, angle, work + 1)
         prob = np.abs(out)
-        prob **= 2  # |psi|^2, once for the deficit and the shell
-        deficit = 1.0 - float(np.sum(prob))
+        prob **= 2  # |psi|^2, once for the norm and the shell
+        drift = abs(float(np.sum(prob)) - before)
         shell = float(prob[-_SHELL_WIDTH:, :].sum() + prob[:, -_SHELL_WIDTH:].sum())
-        if shell <= _SHELL_MASS and abs(deficit) <= _NBS_DEFICIT:
+        if shell <= _SHELL_MASS and drift <= _NORM_DRIFT:
             return TruncatedState(out)
         if work >= _MAX_WORK:
             raise CutoffTooSmall(
-                f"amplifier outgrew the working grid {work}, the last one tried "
-                f"(gain {splitter.value}, input cutoff {state.cutoff})"
+                f"splitter outgrew the working grid {work}, the last one tried "
+                f"({splitter.kind.name} {splitter.value}, input cutoff {state.cutoff})"
             )
         del out, prob  # the refused grid is not kept while the next one evolves
         work = min(int(work * 1.5) + 8, _MAX_WORK)

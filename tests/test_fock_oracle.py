@@ -186,8 +186,25 @@ def test_nbs_refuses_when_grid_tops_out(cutoff, ladder, monkeypatch):
         apply_splitter(state, SplitterSpec.nbs(2.5))
     assert grids == [work + 1 for work in ladder]
     assert str(exc.value) == (
-        f"amplifier outgrew the working grid {ladder[-1]}, the last one tried "
-        f"(gain 2.5, input cutoff {cutoff})"
+        f"splitter outgrew the working grid {ladder[-1]}, the last one tried "
+        f"(NBS 2.5, input cutoff {cutoff})"
+    )
+
+
+# a Fock state in the outer shell of a grid above the cap; the identity
+# splitter (T = 1, G = 1) leaves it there, so its own grid is refused and no
+# larger one is tried
+@pytest.mark.parametrize("splitter", [SplitterSpec.lbs(1.0), SplitterSpec.nbs(1.0)], ids=["LBS", "NBS"])
+def test_splitter_above_the_cap_is_refused_on_its_own_grid(splitter, monkeypatch):
+    amplitudes = np.zeros((341, 341), dtype=complex)
+    amplitudes[340, 0] = 1.0
+    grids = _record_grids(monkeypatch)
+    with pytest.raises(CutoffTooSmall) as exc:
+        apply_splitter(TruncatedState(amplitudes), splitter)
+    assert grids == [341]
+    assert str(exc.value) == (
+        "splitter outgrew the working grid 340, the last one tried "
+        f"({splitter.kind.name} 1.0, input cutoff 340)"
     )
 
 
@@ -200,24 +217,63 @@ def test_nbs_first_grid_is_the_inputs_own_even_above_the_cap(cutoff, monkeypatch
 
 
 # the corners of the benchmark's oracle-check ranges (perfbench/configs.py:
-# alpha_photons 0.2-3, squeeze_r 0.05-0.5, gain 1.02-1.3) at the cutoffs the
-# check evolves, 64 and its doubling 128; each fits its own grid but the
+# alpha_photons 0.2-3, squeeze_r 0.05-0.5, gain 1.02-1.3, splitter_ratio
+# 0.2-5, which is transmissivity 1/(1 + ratio)) at the cutoffs the check
+# evolves, 64 and its doubling 128; each fits its own grid but the
 # brightest, most squeezed, highest-gain one at 64, which climbs one rung
 @pytest.mark.parametrize("cutoff", [64, 128])
-@pytest.mark.parametrize("photons, r, g", itertools.product((0.2, 3.0), (0.05, 0.5), (1.02, 1.3)))
-def test_nbs_evolves_benchmark_inputs_on_their_own_grid(cutoff, photons, r, g, monkeypatch):
+@pytest.mark.parametrize("photons, r", itertools.product((0.2, 3.0), (0.05, 0.5)))
+@pytest.mark.parametrize(
+    "splitter",
+    [SplitterSpec.nbs(1.02), SplitterSpec.nbs(1.3), SplitterSpec.lbs(1 / 1.2), SplitterSpec.lbs(1 / 6)],
+    ids=["gain1.02", "gain1.3", "ratio0.2", "ratio5"],
+)
+def test_splitter_evolves_benchmark_inputs_on_their_own_grid(cutoff, photons, r, splitter, monkeypatch):
     state = prepare_input(math.sqrt(photons), r, cutoff)
     grids = _record_grids(monkeypatch)
-    out = apply_splitter(state, SplitterSpec.nbs(g))
-    if (cutoff, photons, r, g) == (64, 3.0, 0.5, 1.3):
+    out = apply_splitter(state, splitter)
+    if (cutoff, photons, r, splitter) == (64, 3.0, 0.5, SplitterSpec.nbs(1.3)):
         assert grids == [65, 105] and out.cutoff == 104
     else:
         assert grids == [cutoff + 1] and out.cutoff == state.cutoff
     found = measure_moments(out)
-    expected = nbs_moments(InterferometerInput(math.sqrt(photons), r, SplitterSpec.nbs(g)))
+    moments = lbs_moments if splitter.kind is SplitterKind.LBS else nbs_moments
+    expected = moments(InterferometerInput(math.sqrt(photons), r, splitter))
     scale = max(expected.var_a, expected.var_b, 1.0)
     for field in ("mean_a", "mean_b", "var_a", "var_b", "cov"):
         assert _rel(getattr(found, field), getattr(expected, field), scale) <= 1e-6
+
+
+def test_lbs_climbs_the_ladder_when_it_reaches_its_grids_edge(monkeypatch):
+    # on its own 33-wide grid this split reflects off the cutoff and its
+    # moments are 4.1e-8 off; the shell test sends it to the next rung, 57
+    # wide, where they are 6.6e-11 off
+    state = prepare_input(math.sqrt(6.0), 0.5, 32)
+    inp = InterferometerInput(math.sqrt(6.0), 0.5, SplitterSpec.lbs(0.5))
+    expected = lbs_moments(inp)
+    scale = max(expected.var_a, expected.var_b, 1.0)
+
+    def error(amplitudes):
+        found = measure_moments(TruncatedState(amplitudes))
+        fields = ("mean_a", "mean_b", "var_a", "var_b", "cov")
+        return max(_rel(getattr(found, f), getattr(expected, f), scale) for f in fields)
+
+    assert error(_evolve(state.amplitudes, SplitterKind.LBS, math.acos(math.sqrt(0.5)))) > 1e-8
+    grids = _record_grids(monkeypatch)
+    out = apply_splitter(state, inp.splitter)
+    assert grids == [33, 57] and out.cutoff == 56
+    assert error(out.amplitudes) <= 1e-9
+
+
+# the norm test compares the output with the input's own norm, so an input
+# short of unit norm is accepted on its own grid like a normalised one
+@pytest.mark.parametrize("splitter", [SplitterSpec.lbs(0.5), SplitterSpec.nbs(1.2)], ids=["LBS", "NBS"])
+def test_splitter_accepts_an_input_short_of_unit_norm(splitter, monkeypatch):
+    state = TruncatedState(0.5 * prepare_input(1.0, 0.3, 64).amplitudes)
+    grids = _record_grids(monkeypatch)
+    out = apply_splitter(state, splitter)
+    assert grids == [65]
+    assert out.norm_deficit == pytest.approx(0.75, abs=1e-12)
 
 
 # a 1 x 1 grid (cutoff 0) has Gershgorin radius 0 and no Chebyshev series of
