@@ -8,15 +8,19 @@ for the amplifier) is a real shift on the grid, and exp(iθK) is applied
 by its Chebyshev expansion in Bessel coefficients (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)), with the spectrum of the truncated K
 bounded by Gershgorin's theorem; only numpy is needed. K is real, so the
-recurrence runs in float64. On the flattened d x d grid K links a cell
-only to the cells s away (s = d - 1 for a†b, d + 1 for a†b†), so the grid
-cut into rows of length s is s independent column chains, evolved one
-cache-sized block at a time. Each arm's branches (l of n photons lost, with
-binomial weight) are summed per initial photon number, and the two arms'
-sums are contracted with the photon-number distribution; single-arm loss
-is the same sum with arm b lossless. No closed-form binomial moment is
-used. Kept out of production paths; the test suite and the
-`oracle-check` CLI subcommand are the only consumers.
+recurrence runs in float64. K changes n_b by one, so each step moves an
+input on one parity of n_b (a prepared input: real, even n_b) wholly onto
+the other parity, and only the occupied parity class is stored and
+updated. The grid is flattened with an even row stride (a zero pad column
+when d is odd), on which K links a cell only to the cells s away, with
+s = stride - 1 for a†b and stride + 1 for a†b†; the grid cut into rows of
+length s is s independent column chains, along which the parity
+alternates, evolved one cache-sized block at a time. Each arm's branches
+(l of n photons lost, with binomial weight) are summed per initial photon
+number, and the two arms' sums are contracted with the photon-number
+distribution; single-arm loss is the same sum with arm b lossless. No
+closed-form binomial moment is used. Kept out of production paths; the
+test suite and the `oracle-check` CLI subcommand are the only consumers.
 
 A truncation subtlety drives the cutoff policy: the truncated splitter
 generators are exactly Hermitian, so their exponentials conserve norm
@@ -44,7 +48,7 @@ _PREPARE_DEFICIT = 1e-10
 _NORM_DRIFT = 1e-12
 _SHELL_MASS = 1e-9
 _SHELL_WIDTH = 4
-_MAX_WORK = 320
+_MAX_WORK = 600
 _BLOCK_CELLS = 1 << 14  # cells per block of chains in _evolve: 128 kB per float array
 _BESSEL_TAIL = 1e-18
 
@@ -138,59 +142,99 @@ def _evolve(amplitudes: np.ndarray, kind: SplitterKind, angle: float, d: int = 0
     |T_k(X) psi| <= |psi|. K is real, so the recurrence runs in float64 on
     a real psi: the terms 2 i^k J_k T_k psi of even k (i^k = 1, -1 for k =
     0, 2 mod 4) sum into the real part of the result, those of odd k
-    (i^k = i, -i for k = 1, 3 mod 4) into the imaginary part, and a complex
-    input is evolved as its real and imaginary parts. On the flattened
-    grid K links cell p only to p - s and p + s, with s = d - 1 for a†b and
-    d + 1 for a†b†, so the grid cut into rows of length s is s independent
-    column chains; a link that wraps a row or leaves the grid has weight 0.
-    The recurrence runs on one block of chains (about _BLOCK_CELLS cells)
-    at a time, so the complex result is the only full-grid array, and each
-    cell gets the same operations in the same order as on the whole grid.
-    The result is complex at every angle.
+    (i^k = i, -i for k = 1, 3 mod 4) into the imaginary part.
+
+    K changes n_b by one, so T_k psi of an input on one parity of n_b lives
+    on the parity k steps away: the input is split into its components, the
+    real or imaginary part on even or odd n_b (a prepared input has one),
+    and each is evolved on the cells of the parity class it occupies at
+    each step. The grid is flattened with an even row stride (a zero pad
+    column when d is odd, linked with weight 0), so n_b has the parity of
+    the flat index. There K links cell p only to p - s and p + s, with the
+    odd s = stride - 1 for a†b and stride + 1 for a†b†, so the grid cut
+    into rows of length s is s independent column chains, along which the
+    parity alternates; a link that wraps a row, leaves the grid or touches
+    the pad has weight 0. Each odd chain is shifted down one row, so that
+    the even rows of every chain are the even class and the odd rows the
+    odd class. The recurrence runs on one block of chains (about
+    _BLOCK_CELLS grid cells) at a time, on its two class arrays, T_k
+    overwriting T_{k-2} in its own class; so the complex result is the
+    only full-grid array, and each nonzero cell gets the same operations
+    in the same order as on the whole grid. The result is complex at every
+    angle.
     """
     n = amplitudes.shape[0]
     d = d or n
     radius = 2.0 * (d - 1)
     coeffs = _bessel_series(angle * radius) if angle else [1.0]
     lbs = kind is SplitterKind.LBS
-    shift = d - 1 if lbs else d + 1
-    chain = -(-d * d // shift)  # cells per chain; the last row is partly padding
-    parts = 2 if amplitudes.imag.any() else 1
-    result = np.empty((chain, shift), dtype=complex)
+    stride = d + d % 2  # even, so that n_b has the parity of the flat index
+    shift = stride - 1 if lbs else stride + 1
+    chain = -(-d * stride // shift)  # cells per chain; the last row is partly padding
+    half = chain // 2 + 1  # rows of a class: half of the chain + 1 shifted rows, rounded up
+    parts = (amplitudes.real, amplitudes.imag)
+    # (part, parity of n_b) of each nonzero component, real parts first
+    components = [(p, q) for p in (0, 1) for q in (0, 1) if parts[p][:, q::2].any()]
+    result = np.zeros((chain, shift), dtype=complex)
+    out = (result.real, result.imag)
+    rows = 2 * np.arange(half)[:, None]
+
+    def cells(cols, e):
+        # grid (n_a, n_b) of the block's class-e cells, shifted rows e, e + 2, ...;
+        # n_a < 0 is the row under an odd chain
+        return np.divmod((rows + e - (cols & 1)) * shift + cols, stride)
+
+    def place(target, cols, e, values, op):
+        # the class-e values into their cells of the (unshifted) result
+        for g in (0, 1):  # chains of even, then odd index
+            lo = (g ^ cols[0]) & 1
+            first = e ^ g  # first result row of the class in these chains
+            count = (chain - first + 1) // 2
+            view = target[first::2, cols[0] + lo : cols[-1] + 1 : 2]
+            op(view, values[g > e : (g > e) + count, lo::2], out=view)
+
     for cols in np.array_split(np.arange(shift), min(-(-chain * shift // _BLOCK_CELLS), shift)):
-        flat = cols + np.arange(0, chain * shift, shift)[:, None]  # each cell's p
-        i, j = np.divmod(flat, d)
-        inside = (i < n) & (j < n)
-        cur = np.zeros((parts,) + flat.shape)  # T_0
-        values = amplitudes[i[inside], j[inside]]
-        cur[:, inside] = (values.real, values.imag)[:parts]
         # 2X moves (i, j) to (i+1, j-1) with weight 2 sqrt((i+1)j)/R for a†b, to
         # (i+1, j+1) with 2 sqrt((i+1)(j+1))/R for a†b†, and back; 0 off the grid
-        i, j = i[:-1], j[:-1]
-        weight = (2.0 / radius) * np.sqrt((i + 1.0) * (j if lbs else (j + 1.0) * (j < d - 1)))
-        weight[flat[:-1] >= d * d - shift] = 0.0
-        prev, tmp = np.zeros_like(cur), np.empty_like(cur)
-        head = tmp[:, :-1]
-        sums = [coeffs[0] * cur, np.zeros_like(cur)]  # even k, odd k
-        for k in range(1, len(coeffs)):
-            # prev <- 2X cur - prev, negating prev within the first add
-            np.negative(prev[:, 0], out=prev[:, 0])
-            np.multiply(weight, cur[:, :-1], out=head)
-            np.subtract(head, prev[:, 1:], out=prev[:, 1:])
-            np.multiply(weight, cur[:, 1:], out=head)
-            prev[:, :-1] += head
-            prev, cur = cur, prev
-            if k == 1:
-                cur *= 0.5  # T_1 = X T_0
-            np.multiply((2.0, -2.0)[k % 4 // 2] * coeffs[k], cur, out=tmp)
-            sums[k % 2] += tmp
-        even, odd = sums
-        block = result[:, cols[0] : cols[-1] + 1]
-        if parts == 1:
-            block.real, block.imag = even[0], odd[0]
-        else:  # exp(itX) of the real part, plus i times that of the imaginary part
-            block.real, block.imag = even[0] - odd[1], odd[0] + even[1]
-    return result.reshape(-1)[: d * d].reshape(d, d)
+        # or on the pad. low links shifted row 2m to 2m + 1, high 2m + 1 to 2m + 2
+        low, high = (
+            (2.0 / radius) * np.sqrt((i + 1.0) * (j if lbs else (j + 1.0) * (j < d - 1)))
+            * ((i < d - 1) & (j < d))
+            for i, j in (cells(cols, e) for e in (0, 1))
+        )
+        cls = np.empty((2, half, len(cols)))  # T_k in one class, T_{k-1} in the other
+        tmp, sums = np.empty_like(cls[0]), np.empty_like(cls)  # sums of even k, odd k
+        for p, q in components:
+            i, j = cells(cols, q)
+            inside = (i >= 0) & (i < n) & (j < n)
+            cls[:] = 0.0  # T_0, and T_{-1} = 0 in the other class
+            cls[q][inside] = parts[p][i[inside], j[inside]]
+            del i, j, inside
+            np.multiply(coeffs[0], cls[q], out=sums[0])
+            sums[1] = 0.0
+            for k in range(1, len(coeffs)):
+                # T_k <- 2X T_{k-1} - T_{k-2}, over T_{k-2} in T_k's class, negating
+                # it within the first add
+                new, cur = cls[(q + k) % 2], cls[(q + k + 1) % 2]
+                if (q + k) % 2:  # row 2m + 1: down to 2m by low[m], up to 2m + 2 by high[m]
+                    np.multiply(low, cur, out=tmp)
+                    np.subtract(tmp, new, out=new)
+                    np.multiply(high[:-1], cur[1:], out=tmp[:-1])
+                    new[:-1] += tmp[:-1]
+                else:  # row 2m: down to 2m - 1 by high[m - 1], up to 2m + 1 by low[m]
+                    np.negative(new[0], out=new[0])
+                    np.multiply(high[:-1], cur[:-1], out=tmp[1:])
+                    np.subtract(tmp[1:], new[1:], out=new[1:])
+                    np.multiply(low, cur, out=tmp)
+                    new += tmp
+                if k == 1:
+                    new *= 0.5  # T_1 = X T_0
+                np.multiply((2.0, -2.0)[k % 4 // 2] * coeffs[k], new, out=tmp)
+                sums[k % 2] += tmp
+            # exp(itX) of a real part is even + i odd, of an imaginary part i even - odd
+            place(out[p], cols, q, sums[0], np.add)
+            place(out[1 - p], cols, 1 - q, sums[1], np.subtract if p else np.add)
+    return result.reshape(-1)[: d * stride].reshape(d, stride)[:, :d]
 
 
 def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedState:
@@ -202,16 +246,19 @@ def apply_splitter(state: TruncatedState, splitter: SplitterSpec) -> TruncatedSt
     θR below 1e-18.
 
     Both splitters act on a working grid that starts at the input's own
-    cutoff (at least 1) and grows 1.5x + 8 at a time up to 320, and are
+    cutoff (at least 1) and grows 1.5x + 8 at a time up to 600, and are
     accepted only when the outer 4-row/4-column shell holds at most 1e-9
     of the probability and the squared norm moves by at most 1e-12; the
     returned state lives on the working grid so no population is
-    discarded. An input above 320 is tried on its own grid only.
+    discarded. An input above 600 is tried on its own grid only. So the
+    golden base input (4 photons, r 0.5) at cutoff 32 is amplified at gain
+    3 on the seventh grid tried, 531 wide, and an input that outgrows
+    every grid is refused only after the 601-wide one, the costliest.
 
     Raises
     ------
     CutoffTooSmall
-        If the last working grid tried (320, or the input's own if
+        If the last working grid tried (600, or the input's own if
         larger) fails.
     """
     lbs = splitter.kind is SplitterKind.LBS

@@ -130,11 +130,13 @@ def cases() -> list[tuple[str, str, dict]]:
             if loss != "None":
                 document["fixed"]["gamma"] = -0.25
             out.append(("oracle", f"{interferometer}-{loss}", {**document, "cutoff": 32}))
-    # the base input at a gain its own grid cannot hold: the amplifier climbs a
-    # ladder of working grids before it accepts one
-    climb = {**_document("SU11", "OneArm"), "cutoff": 32}
-    climb["fixed"] = {**climb["fixed"], "gain": 2.0, "gamma": -0.25}
-    out.append(("oracle", "SU11-OneArm-gain-2", climb))
+    # the base input at gains its own grid cannot hold: the amplifier climbs a
+    # ladder of working grids before it accepts one; at gain 3 it accepts the
+    # input on the 531-wide grid and its doubling on the 592-wide one
+    for gain in (2.0, 2.5, 3.0):
+        climb = {**_document("SU11", "OneArm"), "cutoff": 32}
+        climb["fixed"] = {**climb["fixed"], "gain": gain, "gamma": -0.25}
+        out.append(("oracle", f"SU11-OneArm-gain-{gain:g}", climb))
     # a grid too small for the input state: the check refuses with exit 3
     refused = {**_document("SU2", "None"), "cutoff": 32}
     refused["fixed"] = {**refused["fixed"], "alpha_photons": 25.0}

@@ -169,8 +169,9 @@ def _record_grids(monkeypatch):
     return grids
 
 
-# the ladder starts on the input's own grid and grows 1.5x + 8 up to the cap
-# 320; an input above the cap is tried on its own grid only
+# the ladder starts on the input's own grid and grows 1.5x + 8 up to the cap;
+# an input above the cap is tried on its own grid only. These ladders are
+# pinned under a cap of 320, so that they stay a few short evolutions
 @pytest.mark.parametrize(
     "cutoff, ladder",
     [
@@ -180,6 +181,7 @@ def _record_grids(monkeypatch):
 )
 def test_nbs_refuses_when_grid_tops_out(cutoff, ladder, monkeypatch):
     # bright input plus strong gain outgrows the last working grid tried
+    monkeypatch.setattr(fock_oracle, "_MAX_WORK", 320)
     state = prepare_input(5.0, 1.2, cutoff)
     grids = _record_grids(monkeypatch)
     with pytest.raises(CutoffTooSmall) as exc:
@@ -196,20 +198,22 @@ def test_nbs_refuses_when_grid_tops_out(cutoff, ladder, monkeypatch):
 # larger one is tried
 @pytest.mark.parametrize("splitter", [SplitterSpec.lbs(1.0), SplitterSpec.nbs(1.0)], ids=["LBS", "NBS"])
 def test_splitter_above_the_cap_is_refused_on_its_own_grid(splitter, monkeypatch):
-    amplitudes = np.zeros((341, 341), dtype=complex)
-    amplitudes[340, 0] = 1.0
+    assert fock_oracle._MAX_WORK == 600
+    amplitudes = np.zeros((602, 602), dtype=complex)
+    amplitudes[601, 0] = 1.0
     grids = _record_grids(monkeypatch)
     with pytest.raises(CutoffTooSmall) as exc:
         apply_splitter(TruncatedState(amplitudes), splitter)
-    assert grids == [341]
+    assert grids == [602]
     assert str(exc.value) == (
-        "splitter outgrew the working grid 340, the last one tried "
-        f"({splitter.kind.name} 1.0, input cutoff 340)"
+        "splitter outgrew the working grid 601, the last one tried "
+        f"({splitter.kind.name} 1.0, input cutoff 601)"
     )
 
 
 @pytest.mark.parametrize("cutoff", [170, 340])
 def test_nbs_first_grid_is_the_inputs_own_even_above_the_cap(cutoff, monkeypatch):
+    monkeypatch.setattr(fock_oracle, "_MAX_WORK", 320)  # so that cutoff 340 is above it
     grids = _record_grids(monkeypatch)
     out = apply_splitter(prepare_input(1.0, 0.3, cutoff), SplitterSpec.nbs(1.2))
     assert grids == [cutoff + 1]
@@ -294,9 +298,10 @@ def test_nbs_amplifies_the_smallest_vacuum(cutoff, monkeypatch):
 
 def test_amplifier_peak_memory_is_a_few_grids(monkeypatch):
     # the ladder refuses the input's own 171-wide grid and accepts the next,
-    # 264 wide, whose complex result is 1.12 MB; keeping the refused grid's
-    # arrays while the next evolved peaked at 3.4 MB, and evolving the whole
-    # 257-wide grid at once (six float grids and a padded copy) at 6.5 MB
+    # 264 wide, whose complex result is 1.12 MB; the peak is 1.95 MB. Keeping
+    # the refused grid's arrays while the next evolved peaked at 3.4 MB,
+    # evolving the whole 257-wide grid at once (six float grids and a padded
+    # copy) at 6.5 MB, and evolving both parity classes of n_b at 2.71 MB
     state = prepare_input(1.7, 0.4, 170)
     grids = _record_grids(monkeypatch)
     tracemalloc.start()
@@ -307,7 +312,22 @@ def test_amplifier_peak_memory_is_a_few_grids(monkeypatch):
         tracemalloc.stop()
     assert grids == [171, 264]
     assert out.cutoff == 263
-    assert peak <= 3.0e6
+    assert peak <= 2.15e6
+
+
+@pytest.mark.parametrize("kind, angle", [(SplitterKind.LBS, 0.6), (SplitterKind.NBS, math.acosh(1.2))])
+def test_evolve_peak_memory_is_the_result_and_one_block(kind, angle):
+    # the doubled input of a cutoff-64 oracle-check, on its own 129-wide grid:
+    # the complex result (129 x 130 cells, 0.27 MB) and one block's seven
+    # class arrays peak at 0.76 MB; with both parity classes evolved, 1.30 MB
+    amplitudes = prepare_input(1.7, 0.4, 128).amplitudes
+    tracemalloc.start()
+    try:
+        _evolve(amplitudes, kind, angle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.84e6
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +435,23 @@ def test_evolve_group_law(kind):
 
 
 def _styled_grid(d, style, seed):
-    """A random grid as a real, imaginary or general complex input."""
+    """A random grid as a real, imaginary or general complex input, or as a
+    real one on even or odd n_b only."""
     rng = np.random.default_rng(seed)
     re, im = rng.normal(size=(2, d, d)) / d
+    even, odd = re.copy(), re.copy()
+    even[:, 1::2] = odd[:, 0::2] = 0.0
     return {
         "complex_real": re.astype(complex),  # the dtype prepare_input gives
         "float": re,
         "imaginary": 1j * im,
         "mixed": re + 1j * im,
+        "even": even.astype(complex),  # one component, as prepare_input gives
+        "odd": odd.astype(complex),
     }[style]
 
 
-_STYLES = ["complex_real", "float", "imaginary", "mixed"]
+_STYLES = ["complex_real", "float", "imaginary", "mixed", "even", "odd"]
 
 
 @pytest.mark.parametrize("style", _STYLES)
@@ -478,7 +503,8 @@ def test_evolve_prepared_state_on_production_grids(kind, d, angle):
 
 # ---------------------------------------------------------------------------
 # reference: the propagator on the whole flattened grid at once, before it ran
-# one block of column chains at a time; the blocked kernel must match it bitwise
+# one block of column chains at a time on the parity classes of n_b; the kernel
+# must match it bitwise (np.array_equal takes -0.0 for 0.0)
 
 
 def _whole_grid_evolve(amplitudes, kind, angle):
@@ -513,9 +539,11 @@ def _whole_grid_evolve(amplitudes, kind, angle):
 
 
 def _blocks(d, kind):
-    """How many blocks of chains _evolve splits a d x d grid into."""
-    shift = d - 1 if kind is SplitterKind.LBS else d + 1
-    cells = -(-d * d // shift) * shift
+    """How many blocks of chains _evolve splits a d x d grid into, flattened
+    with the even row stride d + d % 2."""
+    stride = d + d % 2
+    shift = stride - 1 if kind is SplitterKind.LBS else stride + 1
+    cells = -(-d * stride // shift) * shift
     return -(-cells // fock_oracle._BLOCK_CELLS)
 
 
@@ -528,7 +556,7 @@ _BLOCK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("style", ["complex_real", "float", "mixed"])
+@pytest.mark.parametrize("style", ["complex_real", "float", "mixed", "even", "odd"])
 @pytest.mark.parametrize("kind", [SplitterKind.LBS, SplitterKind.NBS])
 @pytest.mark.parametrize("d, blocks, angle", _BLOCK_CASES)
 def test_blocked_evolve_is_bitwise_the_whole_grid_evolve(style, kind, d, blocks, angle):
@@ -547,7 +575,7 @@ def test_blocked_evolve_is_bitwise_with_many_small_blocks(monkeypatch, style, ki
     assert np.array_equal(_evolve(amp, kind, 0.9), _whole_grid_evolve(amp, kind, 0.9))
 
 
-@pytest.mark.parametrize("style", ["complex_real", "mixed"])
+@pytest.mark.parametrize("style", ["complex_real", "mixed", "even", "odd"])
 @pytest.mark.parametrize("cutoff, work", [(32, 64), (64, 128), (128, 256)])
 def test_padded_amplifier_evolve_is_bitwise_the_whole_grid_evolve(style, cutoff, work):
     # the amplifier gathers its input into the working grid block by block
